@@ -9,6 +9,7 @@
 #include "codegen/ExprEmitter.h"
 
 #include <cassert>
+#include <functional>
 
 namespace an5d {
 
@@ -20,17 +21,57 @@ enum class CppEmitMode { CheckProgram, KernelLibrary };
 
 } // namespace
 
-/// Emits the update expression body for the generated evalCell template.
+/// Emits the update expression with grid reads rendered by \p Read.
 /// Kernel libraries round float literals through float precision so the
 /// compiled arithmetic matches the in-process evaluators bit for bit.
-static std::string emitUpdateExpr(const StencilProgram &Program,
-                                  CppEmitMode Mode) {
+static std::string
+emitUpdateExpr(const StencilProgram &Program, CppEmitMode Mode,
+               std::function<std::string(const GridReadExpr &)> Read) {
   ExprEmitOptions Options;
   Options.Type = Program.elemType();
   Options.Program = &Program;
-  Options.ReadEmitter = defaultReadMacro;
+  Options.ReadEmitter = std::move(Read);
   Options.ExactFloatLiterals = Mode == CppEmitMode::KernelLibrary;
   return emitExpr(Program.update(), Options);
+}
+
+/// Renders " + N * Unit" / " - Unit" for a lane offset of \p Count units.
+static std::string laneOffset(int Count, const std::string &Unit) {
+  if (Count == 0)
+    return "";
+  std::string Out = Count > 0 ? " + " : " - ";
+  int Magnitude = Count > 0 ? Count : -Count;
+  if (Unit.empty())
+    return Out + std::to_string(Magnitude);
+  return Out + (Magnitude == 1 ? "" : std::to_string(Magnitude) + " * ") +
+         Unit;
+}
+
+/// The update expression of the 2D/3D compute loops: the read of plane
+/// p+ds at blocked offset (d1[, d2]) indexes the restrict ring row
+/// row<ds+RAD> at `lane` plus the offset, so the loop body is one
+/// inlinable expression (no per-lane closure the vectorizer must spill).
+static std::string emitLaneUpdate(const StencilProgram &Program, int Rad,
+                                  CppEmitMode Mode) {
+  return emitUpdateExpr(Program, Mode, [Rad](const GridReadExpr &Read) {
+    const std::vector<int> &Off = Read.offsets();
+    std::string Out = "row" + std::to_string(Off[0] + Rad) + "[lane";
+    if (Off.size() == 2)
+      Out += laneOffset(Off[1], "");
+    else
+      Out += laneOffset(Off[1], "BS2") + laneOffset(Off[2], "");
+    return Out + "]";
+  });
+}
+
+/// Declares the 2*RAD+1 restrict row pointers a tier reads its producer
+/// through, once per plane: row<K> is plane p + K - RAD of tier - 1.
+static std::string emitRingRows(int Radius, const std::string &Indent) {
+  std::string Out;
+  for (int K = 0; K <= 2 * Radius; ++K)
+    Out += Indent + "const Real *__restrict__ row" + std::to_string(K) +
+           " = ring(tier - 1, p" + laneOffset(K - Radius, "") + ");\n";
+  return Out;
 }
 
 /// Common prelude: includes, constants, indexing, evalCell, schedule.
@@ -117,13 +158,18 @@ static std::string emitPrelude(const StencilProgram &Program,
   }
   Out += "\n";
 
-  Out += "// The stencil update; READ(ds" +
-         std::string(NumDims >= 2 ? ", d1" : "") +
-         std::string(NumDims == 3 ? ", d2" : "") +
-         ") supplies the previous time-step.\n";
-  Out += "template <typename ReadFn>\n"
-         "static inline Real evalCell(const ReadFn &READ) {\n";
-  Out += "  return " + emitUpdateExpr(Program, Mode) + ";\n}\n\n";
+  // 2D/3D kernel libraries inline the update into their compute loops;
+  // the check program's reference and the 1D kernel evaluate it here.
+  if (Mode == CppEmitMode::CheckProgram || NumDims == 1) {
+    Out += "// The stencil update; READ(ds" +
+           std::string(NumDims >= 2 ? ", d1" : "") +
+           std::string(NumDims == 3 ? ", d2" : "") +
+           ") supplies the previous time-step.\n";
+    Out += "template <typename ReadFn>\n"
+           "static inline Real evalCell(const ReadFn &READ) {\n";
+    Out += "  return " + emitUpdateExpr(Program, Mode, defaultReadMacro) +
+           ";\n}\n\n";
+  }
 
   if (Mode == CppEmitMode::CheckProgram)
     Out += "static void fillDeterministic(std::vector<Real> &a, uint64_t "
@@ -267,27 +313,33 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
 
 /// The blocked invocation for 2D stencils (one blocked dimension). Shared
 /// verbatim between the check program and the kernel library; the OpenMP
-/// pragmas are inert without -fopenmp.
-static std::string emitBlocked2d() {
+/// pragmas are inert without -fopenmp. \p Rows declares the producer's
+/// ring rows and \p Update is the inline update expression over them.
+static std::string emitBlocked2d(const std::string &Rows,
+                                 const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1).
 // Every (chunk, block) pair reads only `in` plus its own rings and writes
 // a disjoint region of `out`, so the pair loop is an OpenMP worksharing
-// loop when compiled with -fopenmp (rings are per-thread).
+// loop when compiled with -fopenmp (rings are per-thread). Each tier of an
+// interior sub-plane computes one branch-free lane range as an `omp simd`
+// loop; the edge lanes around it are pinned to the input outside the grid
+// and carry the previous tier forward inside it (halo overwrite).
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, int degree) {
   const long long cw = BS1 - 2LL * degree * RAD; // compute-region width
   const long long nblocks = (N1 + cw - 1) / cw;
   const long long chunkLen = HS > 0 ? HS : NS;
   const long long nchunks = (NS + chunkLen - 1) / chunkLen;
   const int ringDepth = 2 * RAD + 1;
+  const size_t tierSize = (size_t)ringDepth * BS1;
 #ifdef _OPENMP
 #pragma omp parallel
 #endif
   {
-    std::vector<std::vector<Real>> rings((size_t)degree,
-                                         std::vector<Real>((size_t)(ringDepth * BS1), (Real)0));
-    auto slot = [&](long long p) {
+    // Every tier's ring in one allocation; a row holds one sub-plane.
+    std::vector<Real> rings((size_t)degree * tierSize, (Real)0);
+    auto ring = [&](int tier, long long p) {
       long long m = p % ringDepth;
-      return (size_t)(m < 0 ? m + ringDepth : m);
+      return rings.data() + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * BS1;
     };
 #ifdef _OPENMP
 #pragma omp for collapse(2) schedule(static)
@@ -298,8 +350,26 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
         const long long c1 = std::min(c0 + chunkLen, NS);
         const long long origin = b * cw;
         const long long spanLo = origin - (long long)degree * RAD;
-        for (auto &r : rings)
-          std::fill(r.begin(), r.end(), (Real)0);
+        // Lanes inLo <= lane < inHi lie inside the grid, exLo <= lane <
+        // exHi inside the grid or its halo.
+        const long long inLo = std::max(-spanLo, 0LL);
+        const long long inHi = std::min(N1 - spanLo, (long long)BS1);
+        const long long exLo = std::max(-RAD - spanLo, 0LL);
+        const long long exHi = std::min(N1 + RAD - spanLo, (long long)BS1);
+        // Pins lanes lo <= lane < hi of sub-plane p to the input; lanes
+        // beyond the halo read as 0.
+        auto pin = [&](Real *dst, long long p, long long lo, long long hi) {
+          const long long a = std::max(lo, exLo), z = std::min(hi, exHi);
+          if (a >= z) {
+            std::fill(dst + lo, dst + hi, (Real)0);
+            return;
+          }
+          const Real *src = in + pidx(p, spanLo + a);
+          std::fill(dst + lo, dst + a, (Real)0);
+          std::copy(src, src + (z - a), dst + a);
+          std::fill(dst + z, dst + hi, (Real)0);
+        };
+        std::fill(rings.begin(), rings.end(), (Real)0);
         const long long sBegin = c0 - (long long)degree * RAD;
         const long long sEnd = c1 - 1 + (long long)degree * RAD;
         for (long long s = sBegin; s <= sEnd; ++s) {
@@ -308,11 +378,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
             const long long lo = std::max(c0 - (long long)degree * RAD, (long long)-RAD);
             const long long hi = std::min(c1 - 1 + (long long)degree * RAD, NS - 1 + RAD);
             if (s >= lo && s <= hi)
-              for (long long lane = 0; lane < BS1; ++lane) {
-                const long long x = spanLo + lane;
-                rings[0][slot(s) * BS1 + (size_t)lane] =
-                    (x >= -RAD && x < N1 + RAD) ? in[pidx(s, x)] : (Real)0;
-              }
+              pin(ring(0, s), s, 0, BS1);
           }
           // Tiers 1..degree: each lags its producer by one radius.
           for (int tier = 1; tier <= degree; ++tier) {
@@ -322,38 +388,40 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
             const long long hi = std::min(c1 - 1 + reach, NS - 1 + RAD);
             if (p < lo || p > hi)
               continue;
-            std::vector<Real> &prev = rings[(size_t)tier - 1];
             const bool interiorPlane = p >= 0 && p < NS;
-            if (tier < degree) {
-              std::vector<Real> &dst = rings[(size_t)tier];
-              for (long long lane = 0; lane < BS1; ++lane) {
-                const long long x = spanLo + lane;
-                Real v;
-                const bool interiorLane = x >= 0 && x < N1;
-                if (!interiorPlane || !interiorLane) {
-                  // Boundary sub-planes / lanes pinned to the input.
-                  v = (x >= -RAD && x < N1 + RAD) ? in[pidx(p, x)] : (Real)0;
-                } else if (x >= origin - reach && x < origin + cw + reach) {
-                  v = evalCell([&](int ds, int d1) {
-                    return prev[slot(p + ds) * BS1 + (size_t)(lane + d1)];
-                  });
-                } else {
-                  // Halo overwrite: carry the previous tier's value forward.
-                  v = prev[slot(p) * BS1 + (size_t)lane];
-                }
-                dst[slot(p) * BS1 + (size_t)lane] = v;
-              }
+            if (tier < degree && !interiorPlane) {
+              // Boundary sub-planes pinned to the input.
+              pin(ring(tier, p), p, 0, BS1);
+              continue;
+            }
+            if (tier == degree && (!interiorPlane || p < c0 || p >= c1))
+              continue;
+            // The compute range: interior lanes within the tier's reach.
+            const long long clo = std::max(inLo, (long long)tier * RAD);
+            const long long chi = std::min(inHi, BS1 - (long long)tier * RAD);
+)cpp" + Rows +
+         R"cpp(            if (tier < degree) {
+              Real *__restrict__ dst = ring(tier, p);
+              const Real *cur = ring(tier - 1, p);
+              // Edge lanes: pinned outside the grid, carried inside it.
+              pin(dst, p, 0, inLo);
+              std::copy(cur + inLo, cur + clo, dst + inLo);
+              std::copy(cur + chi, cur + inHi, dst + chi);
+              pin(dst, p, inHi, BS1);
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+              for (long long lane = clo; lane < chi; ++lane)
+                dst[lane] = )cpp" +
+         Update + R"cpp(;
             } else {
-              if (!interiorPlane || p < c0 || p >= c1)
-                continue;
-              for (long long lane = 0; lane < BS1; ++lane) {
-                const long long x = spanLo + lane;
-                if (x < origin || x >= origin + cw || x < 0 || x >= N1)
-                  continue;
-                out[pidx(p, x)] = evalCell([&](int ds, int d1) {
-                  return prev[slot(p + ds) * BS1 + (size_t)(lane + d1)];
-                });
-              }
+              Real *__restrict__ dst = out + pidx(p, 0);
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+              for (long long lane = clo; lane < chi; ++lane)
+                dst[spanLo + lane] = )cpp" +
+         Update + R"cpp(;
             }
           }
         }
@@ -364,12 +432,19 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
 )cpp";
 }
 
-/// The blocked invocation for 3D stencils (two blocked dimensions).
-static std::string emitBlocked3d() {
+/// The blocked invocation for 3D stencils (two blocked dimensions). Lanes
+/// are row-major over the blocked axes, so the compute loops run per
+/// blocked row over the contiguous bS2 axis.
+static std::string emitBlocked3d(const std::string &Rows,
+                                 const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1).
 // Every (chunk, block) triple reads only `in` plus its own rings and
 // writes a disjoint region of `out`, so the triple loop is an OpenMP
 // worksharing loop when compiled with -fopenmp (rings are per-thread).
+// Each tier of an interior sub-plane computes one branch-free lane range
+// per blocked row as an `omp simd` loop; the edge lanes around it are
+// pinned to the input outside the grid and carry the previous tier
+// forward inside it (halo overwrite).
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, int degree) {
   const long long cw1 = BS1 - 2LL * degree * RAD;
   const long long cw2 = BS2 - 2LL * degree * RAD;
@@ -379,15 +454,16 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
   const long long nchunks = (NS + chunkLen - 1) / chunkLen;
   const int ringDepth = 2 * RAD + 1;
   const long long LANES = (long long)BS1 * BS2;
+  const size_t tierSize = (size_t)(ringDepth * LANES);
 #ifdef _OPENMP
 #pragma omp parallel
 #endif
   {
-    std::vector<std::vector<Real>> rings((size_t)degree,
-                                         std::vector<Real>((size_t)(ringDepth * LANES), (Real)0));
-    auto slot = [&](long long p) {
+    // Every tier's ring in one allocation; a plane holds one sub-plane.
+    std::vector<Real> rings((size_t)degree * tierSize, (Real)0);
+    auto ring = [&](int tier, long long p) {
       long long m = p % ringDepth;
-      return (size_t)(m < 0 ? m + ringDepth : m);
+      return rings.data() + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * LANES;
     };
 #ifdef _OPENMP
 #pragma omp for collapse(3) schedule(static)
@@ -400,8 +476,27 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
           const long long o1 = b1 * cw1, o2 = b2 * cw2;
           const long long lo1 = o1 - (long long)degree * RAD;
           const long long lo2 = o2 - (long long)degree * RAD;
-          for (auto &r : rings)
-            std::fill(r.begin(), r.end(), (Real)0);
+          // Per blocked axis, lanes from in*Lo up to in*Hi lie inside the
+          // grid and from ex*Lo up to ex*Hi inside the grid or its halo.
+          const long long in1Lo = std::max(-lo1, 0LL), in1Hi = std::min(N1 - lo1, (long long)BS1);
+          const long long in2Lo = std::max(-lo2, 0LL), in2Hi = std::min(N2 - lo2, (long long)BS2);
+          const long long ex1Lo = std::max(-RAD - lo1, 0LL), ex1Hi = std::min(N1 + RAD - lo1, (long long)BS1);
+          const long long ex2Lo = std::max(-RAD - lo2, 0LL), ex2Hi = std::min(N2 + RAD - lo2, (long long)BS2);
+          // Pins lanes lo <= k < hi of blocked row r of sub-plane p to the
+          // input; lanes beyond the halo read as 0.
+          auto pin = [&](Real *dst, long long p, long long r, long long lo, long long hi) {
+            Real *row = dst + r * BS2;
+            const long long a = std::max(lo, ex2Lo), z = std::min(hi, ex2Hi);
+            if (r < ex1Lo || r >= ex1Hi || a >= z) {
+              std::fill(row + lo, row + hi, (Real)0);
+              return;
+            }
+            const Real *src = in + pidx(p, lo1 + r, lo2 + a);
+            std::fill(row + lo, row + a, (Real)0);
+            std::copy(src, src + (z - a), row + a);
+            std::fill(row + z, row + hi, (Real)0);
+          };
+          std::fill(rings.begin(), rings.end(), (Real)0);
           const long long sBegin = c0 - (long long)degree * RAD;
           const long long sEnd = c1 - 1 + (long long)degree * RAD;
           for (long long s = sBegin; s <= sEnd; ++s) {
@@ -409,12 +504,8 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
               const long long lo = std::max(c0 - (long long)degree * RAD, (long long)-RAD);
               const long long hi = std::min(c1 - 1 + (long long)degree * RAD, NS - 1 + RAD);
               if (s >= lo && s <= hi)
-                for (long long lane = 0; lane < LANES; ++lane) {
-                  const long long x1 = lo1 + lane / BS2, x2 = lo2 + lane % BS2;
-                  const bool exists = x1 >= -RAD && x1 < N1 + RAD && x2 >= -RAD && x2 < N2 + RAD;
-                  rings[0][slot(s) * LANES + (size_t)lane] =
-                      exists ? in[pidx(s, x1, x2)] : (Real)0;
-                }
+                for (long long r = 0; r < BS1; ++r)
+                  pin(ring(0, s), s, r, 0, BS2);
             }
             for (int tier = 1; tier <= degree; ++tier) {
               const long long p = s - (long long)tier * RAD;
@@ -423,41 +514,57 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
               const long long hi = std::min(c1 - 1 + reach, NS - 1 + RAD);
               if (p < lo || p > hi)
                 continue;
-              std::vector<Real> &prev = rings[(size_t)tier - 1];
               const bool interiorPlane = p >= 0 && p < NS;
-              if (tier < degree) {
-                std::vector<Real> &dst = rings[(size_t)tier];
-                for (long long lane = 0; lane < LANES; ++lane) {
-                  const long long x1 = lo1 + lane / BS2, x2 = lo2 + lane % BS2;
-                  Real v;
-                  const bool interiorLane = x1 >= 0 && x1 < N1 && x2 >= 0 && x2 < N2;
-                  const bool exists = x1 >= -RAD && x1 < N1 + RAD && x2 >= -RAD && x2 < N2 + RAD;
-                  const bool valid = x1 >= o1 - reach && x1 < o1 + cw1 + reach &&
-                                     x2 >= o2 - reach && x2 < o2 + cw2 + reach;
-                  if (!interiorPlane || !interiorLane) {
-                    v = exists ? in[pidx(p, x1, x2)] : (Real)0;
-                  } else if (valid) {
-                    v = evalCell([&](int ds, int d1, int d2) {
-                      return prev[slot(p + ds) * LANES +
-                                  (size_t)(lane + (long long)d1 * BS2 + d2)];
-                    });
-                  } else {
-                    v = prev[slot(p) * LANES + (size_t)lane];
+              if (tier < degree && !interiorPlane) {
+                for (long long r = 0; r < BS1; ++r)
+                  pin(ring(tier, p), p, r, 0, BS2);
+                continue;
+              }
+              if (tier == degree && (!interiorPlane || p < c0 || p >= c1))
+                continue;
+              // The compute range: interior rows rlo <= r < rhi and lanes
+              // klo <= k < khi within the tier's reach.
+              const long long rlo = std::max(in1Lo, (long long)tier * RAD);
+              const long long rhi = std::min(in1Hi, BS1 - (long long)tier * RAD);
+              const long long klo = std::max(in2Lo, (long long)tier * RAD);
+              const long long khi = std::min(in2Hi, BS2 - (long long)tier * RAD);
+)cpp" + Rows +
+         R"cpp(              if (tier < degree) {
+                Real *__restrict__ dst = ring(tier, p);
+                const Real *cur = ring(tier - 1, p);
+                // Edge lanes: the whole sub-plane carried forward in one
+                // copy (cheaper than two short copies per blocked row),
+                // lanes outside the grid pinned; the compute range below
+                // overwrites its own lanes.
+                std::copy(cur, cur + LANES, dst);
+                for (long long r = 0; r < in1Lo; ++r)
+                  pin(dst, p, r, 0, BS2);
+                for (long long r = in1Hi; r < BS1; ++r)
+                  pin(dst, p, r, 0, BS2);
+                if (in2Lo > 0 || in2Hi < BS2)
+                  for (long long r = in1Lo; r < in1Hi; ++r) {
+                    pin(dst, p, r, 0, in2Lo);
+                    pin(dst, p, r, in2Hi, BS2);
                   }
-                  dst[slot(p) * LANES + (size_t)lane] = v;
+                for (long long r = rlo; r < rhi; ++r) {
+                  const long long base = r * BS2;
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+                  for (long long lane = base + klo; lane < base + khi; ++lane)
+                    dst[lane] = )cpp" +
+         Update + R"cpp(;
                 }
               } else {
-                if (!interiorPlane || p < c0 || p >= c1)
-                  continue;
-                for (long long lane = 0; lane < LANES; ++lane) {
-                  const long long x1 = lo1 + lane / BS2, x2 = lo2 + lane % BS2;
-                  if (x1 < o1 || x1 >= o1 + cw1 || x2 < o2 || x2 >= o2 + cw2 ||
-                      x1 < 0 || x1 >= N1 || x2 < 0 || x2 >= N2)
-                    continue;
-                  out[pidx(p, x1, x2)] = evalCell([&](int ds, int d1, int d2) {
-                    return prev[slot(p + ds) * LANES +
-                                (size_t)(lane + (long long)d1 * BS2 + d2)];
-                  });
+                for (long long r = rlo; r < rhi; ++r) {
+                  const long long base = r * BS2;
+                  Real *__restrict__ dst = out + pidx(p, lo1 + r, 0);
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+                  for (long long lane = base + klo; lane < base + khi; ++lane)
+                    dst[lo2 - base + lane] = )cpp" +
+         Update + R"cpp(;
                 }
               }
             }
@@ -585,11 +692,16 @@ static std::string emitKernelApi(const StencilProgram &Program,
   return Out;
 }
 
-/// The blocked invocation for \p NumDims (1, 2 or 3 dimensions).
-static std::string emitBlocked(int NumDims) {
-  if (NumDims == 1)
+/// The blocked invocation for the schedule's 1, 2 or 3 dimensions.
+static std::string emitBlocked(const StencilProgram &Program,
+                               const ScheduleIR &IR, CppEmitMode Mode) {
+  if (IR.NumDims == 1)
     return emitBlocked1d();
-  return NumDims == 2 ? emitBlocked2d() : emitBlocked3d();
+  const std::string Update = emitLaneUpdate(Program, IR.Radius, Mode);
+  if (IR.NumDims == 2)
+    return emitBlocked2d(emitRingRows(IR.Radius, std::string(12, ' ')),
+                         Update);
+  return emitBlocked3d(emitRingRows(IR.Radius, std::string(14, ' ')), Update);
 }
 
 std::string generateCppCheckProgram(const StencilProgram &Program,
@@ -605,7 +717,7 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
   std::string Out =
       emitPrelude(Program, Schedule, &Problem, CppEmitMode::CheckProgram);
   Out += emitReference(Schedule.NumDims);
-  Out += emitBlocked(Schedule.NumDims);
+  Out += emitBlocked(Program, Schedule, CppEmitMode::CheckProgram);
   Out += emitMain();
   return Out;
 }
@@ -633,7 +745,7 @@ std::string generateCppKernelLibrary(const StencilProgram &Program,
   Normalized.Config.RegisterCap = 0;
   std::string Out =
       emitPrelude(Program, Normalized, nullptr, CppEmitMode::KernelLibrary);
-  Out += emitBlocked(Normalized.NumDims);
+  Out += emitBlocked(Program, Normalized, CppEmitMode::KernelLibrary);
   Out += emitKernelApi(Program, Normalized.Config);
   return Out;
 }

@@ -29,7 +29,11 @@
 /// Both modes emit exactly the per-cell arithmetic of the in-process
 /// evaluators (same expression tree, float literals round-tripped through
 /// float precision in kernel mode), so a kernel compiled with
-/// -ffp-contract=off reproduces ReferenceExecutor bit for bit.
+/// -ffp-contract=off reproduces ReferenceExecutor bit for bit. In 2D and
+/// 3D each tier computes its in-grid, in-reach lane range as one
+/// branch-free `omp simd` loop reading restrict ring rows, with the update
+/// expression inlined; vectorizing across cells leaves each cell's
+/// operations and their order unchanged, so the contract holds there too.
 ///
 //===----------------------------------------------------------------------===//
 

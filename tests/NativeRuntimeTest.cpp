@@ -13,17 +13,21 @@
 ///    force-recompile, and failure accounting;
 ///  * NativeCompiler detection and failure reporting;
 ///  * the native measured sweep (compile pool + serial timing) and the
-///    Tuner's Native measurement backend.
+///    Tuner's Native measurement backend;
+///  * the vectorized 2D/3D kernels at the production flags: bit-for-bit
+///    on awkward extents, and every `omp simd` loop actually vectorized.
 ///
 /// Kernels build with -O1 appended (overriding the default -O2) to keep
 /// the many small test builds fast; optimization level cannot change
 /// results because the kernels are compiled with -ffp-contract=off and no
-/// fast-math. Most tests share one on-disk cache directory so repeated
-/// ctest runs are compile-free; tests asserting miss-then-hit transitions
-/// create private directories.
+/// fast-math (NativeProductionFlags checks that claim at -O2). Most tests
+/// share one on-disk cache directory so repeated ctest runs are
+/// compile-free; tests asserting miss-then-hit transitions create private
+/// directories.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "codegen/CppCodegen.h"
 #include "runtime/KernelCache.h"
 #include "runtime/NativeCompiler.h"
 #include "runtime/NativeExecutor.h"
@@ -35,7 +39,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,6 +92,28 @@ BlockConfig testConfig(const StencilProgram &Program) {
   return Config;
 }
 
+/// Runs \p Steps on \p Extents through the reference executor and the
+/// loaded native kernel and expects bitwise identical grids.
+template <typename T>
+void expectExecutorMatchesReference(const StencilProgram &Program,
+                                    NativeExecutor &Executor,
+                                    const std::vector<long long> &Extents,
+                                    long long Steps) {
+  Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
+  fillGridDeterministic(Ref0, 33);
+  copyGrid(Ref0, Ref1);
+  Grid<T> Nat0 = Ref0, Nat1 = Ref0;
+
+  referenceRun<T>(Program, {&Ref0, &Ref1}, Steps);
+  Executor.run<T>({&Nat0, &Nat1}, Steps);
+
+  const Grid<T> &Want = Steps % 2 == 0 ? Ref0 : Ref1;
+  const Grid<T> &Got = Steps % 2 == 0 ? Nat0 : Nat1;
+  EXPECT_EQ(Want.raw(), Got.raw())
+      << Program.name() << " native result differs from the reference on "
+      << ProblemSize{Extents, Steps}.toString();
+}
+
 /// Runs \p Steps through the reference executor and the native kernel and
 /// expects bitwise identical grids.
 template <typename T>
@@ -97,18 +128,7 @@ void expectNativeMatchesReference(const StencilProgram &Program,
       Program.numDims() == 1   ? std::vector<long long>{53}
       : Program.numDims() == 2 ? std::vector<long long>{23, 19}
                                : std::vector<long long>{13, 11, 10};
-  Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
-  fillGridDeterministic(Ref0, 33);
-  copyGrid(Ref0, Ref1);
-  Grid<T> Nat0 = Ref0, Nat1 = Ref0;
-
-  referenceRun<T>(Program, {&Ref0, &Ref1}, Steps);
-  Executor.run<T>({&Nat0, &Nat1}, Steps);
-
-  const Grid<T> &Want = Steps % 2 == 0 ? Ref0 : Ref1;
-  const Grid<T> &Got = Steps % 2 == 0 ? Nat0 : Nat1;
-  EXPECT_EQ(Want.raw(), Got.raw())
-      << Program.name() << " native result differs from the reference";
+  expectExecutorMatchesReference<T>(Program, Executor, Extents, Steps);
 }
 
 /// Every built-in benchmark: the Table 3 2D/3D set plus the extra 1D
@@ -210,6 +230,173 @@ TEST(NativeRuntime, OneDimensionalDoublePrecisionMatches) {
   auto Program = makeBenchmarkStencil("j1d3pt", ScalarType::Double);
   ASSERT_NE(Program, nullptr);
   expectNativeMatchesReference<double>(*Program, testConfig(*Program), 9);
+}
+
+//===----------------------------------------------------------------------===//
+// Bit-for-bit equivalence at production flags
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One kernel at the flags the tuner times (no -O1 override, so the 2D/3D
+/// compute loops are the vectorized `omp simd` bodies), checked on extents
+/// chosen to hit every lane-range shape of the schedule.
+struct ProductionCase {
+  std::string Name;
+  ScalarType Type;
+  BlockConfig Config;
+  /// Each set includes a block straddling both grid edges (blocked extent
+  /// below bS), a blocked extent of 1, one of cw + 1 (a one-lane last
+  /// block) and one giving compute ranges that are no multiple of 4, 8 or
+  /// 16 lanes.
+  std::vector<std::vector<long long>> Extents;
+  /// Step counts not divisible by bT, so every run ends in a
+  /// partial-degree invocation.
+  std::vector<long long> Steps;
+};
+
+void PrintTo(const ProductionCase &Case, std::ostream *Out) {
+  *Out << Case.Name << ' ' << scalarTypeName(Case.Type) << ' '
+       << Case.Config.toString();
+}
+
+BlockConfig productionConfig(int BT, std::vector<int> BS, long long HS) {
+  BlockConfig Config;
+  Config.BT = BT;
+  Config.BS = std::move(BS);
+  Config.HS = HS;
+  return Config;
+}
+
+std::vector<ProductionCase> productionCases() {
+  return {
+      // cw = 32 - 2*3*1 = 26.
+      {"j2d5pt", ScalarType::Float, productionConfig(3, {32}, 7),
+       {{17, 19}, {9, 1}, {12, 27}, {23, 55}, {1, 30}}, {2, 7}},
+      // Radius 2: cw = 27 - 2*2*2 = 19.
+      {"j2d9pt", ScalarType::Float, productionConfig(2, {27}, 5),
+       {{13, 11}, {6, 1}, {10, 20}, {19, 41}}, {3, 5}},
+      // cw = (14, 21) - 2*3*1 = (8, 15).
+      {"star3d1r", ScalarType::Float, productionConfig(3, {14, 21}, 4),
+       {{9, 5, 11}, {5, 1, 1}, {6, 9, 16}, {11, 19, 33}}, {2, 7}},
+      // Box taps: d1 and d2 both non-zero. cw = (11, 19) - 4 = (7, 15).
+      {"j3d27pt", ScalarType::Float, productionConfig(2, {11, 19}, 3),
+       {{7, 5, 9}, {4, 1, 1}, {5, 8, 16}, {9, 17, 33}}, {3, 5}},
+      {"j3d27pt", ScalarType::Double, productionConfig(2, {11, 19}, 3),
+       {{7, 5, 9}, {4, 1, 1}, {5, 8, 16}, {9, 17, 33}}, {3, 5}},
+  };
+}
+
+} // namespace
+
+class NativeProductionFlags
+    : public ::testing::TestWithParam<ProductionCase> {};
+
+TEST_P(NativeProductionFlags, MatchesReferenceOnAwkwardExtents) {
+  const ProductionCase &Case = GetParam();
+  auto Program = makeBenchmarkStencil(Case.Name, Case.Type);
+  ASSERT_NE(Program, nullptr);
+  NativeRuntimeOptions Options;
+  Options.CacheDir = sharedCacheDir();
+  // One compile serves every extent and step count below.
+  NativeExecutor Executor(*Program, Case.Config, Options);
+  ASSERT_TRUE(Executor.ok()) << Executor.error();
+  for (const std::vector<long long> &Extents : Case.Extents)
+    for (long long Steps : Case.Steps) {
+      if (Case.Type == ScalarType::Float)
+        expectExecutorMatchesReference<float>(*Program, Executor, Extents,
+                                              Steps);
+      else
+        expectExecutorMatchesReference<double>(*Program, Executor, Extents,
+                                               Steps);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    VectorizedKernels, NativeProductionFlags,
+    ::testing::ValuesIn(productionCases()),
+    [](const ::testing::TestParamInfo<ProductionCase> &Info) {
+      return Info.param.Name +
+             (Info.param.Type == ScalarType::Double ? "_double" : "");
+    });
+
+//===----------------------------------------------------------------------===//
+// Vectorization guard
+//===----------------------------------------------------------------------===//
+
+/// Every `omp simd` loop of the 2D/3D kernels must vectorize at the
+/// production flags. A regression here is silent otherwise: the kernel
+/// still compiles and stays bit-exact, it just runs several times slower
+/// (reading the producer through a per-lane closure is such a regression).
+/// GCC's -fopt-info-vec-optimized names the source line of each loop it
+/// vectorized.
+TEST(NativeVectorization, EveryOmpSimdLoopVectorizes) {
+  NativeCompiler Compiler;
+  const std::vector<std::string> Flags = Compiler.flags();
+  if (!Compiler.available() ||
+      std::find(Flags.begin(), Flags.end(), "-fopenmp") == Flags.end())
+    GTEST_SKIP() << "kernels build without OpenMP, so `omp simd` is inert";
+  if (!NativeCompiler::sanitizerFlags().empty())
+    GTEST_SKIP() << "sanitizer instrumentation blocks vectorization; the "
+                    "guard covers production kernel builds";
+  if (Compiler.version().find("clang") != std::string::npos)
+    GTEST_SKIP() << "vectorization remarks are read in GCC's format";
+  for (const char *Name : {"j2d5pt", "star3d1r"}) {
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    ASSERT_NE(Program, nullptr);
+    const std::string Source =
+        generateCppKernelLibrary(*Program, testConfig(*Program));
+    const std::string Dir = freshCacheDir(std::string("vec-") + Name);
+    std::filesystem::create_directories(Dir);
+    const std::string SourcePath = Dir + "/kernel.cpp";
+    std::ofstream(SourcePath) << Source;
+    CompileOutcome Outcome = Compiler.compileSharedLibrary(
+        SourcePath, Dir + "/kernel.so", {"-fopt-info-vec-optimized"});
+    if (!Outcome.Success &&
+        Outcome.Log.find("fopt-info") != std::string::npos)
+      GTEST_SKIP() << "host compiler is not GCC:\n" << Outcome.Log;
+    ASSERT_TRUE(Outcome.Success) << Outcome.Log;
+
+    // Source lines (1-based) GCC reports a vectorized loop on.
+    std::set<size_t> Vectorized;
+    std::istringstream Log(Outcome.Log);
+    for (std::string Line; std::getline(Log, Line);) {
+      const size_t At = Line.find(SourcePath + ":");
+      if (At != std::string::npos &&
+          Line.find("loop vectorized") != std::string::npos)
+        Vectorized.insert(std::strtoul(
+            Line.c_str() + At + SourcePath.size() + 1, nullptr, 10));
+    }
+
+    std::vector<std::string> Lines;
+    std::istringstream Text(Source);
+    for (std::string Line; std::getline(Text, Line);)
+      Lines.push_back(Line.substr(std::min(Line.find_first_not_of(' '),
+                                           Line.size())));
+    int Pragmas = 0;
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      if (Lines[I] != "#pragma omp simd")
+        continue;
+      ++Pragmas;
+      // The loop spans its `for` header (the next line that is not a
+      // preprocessor directive) through its one-statement body.
+      size_t For = I + 1;
+      while (For < Lines.size() && Lines[For].rfind('#', 0) == 0)
+        ++For;
+      size_t End = For + 1;
+      while (End + 1 < Lines.size() &&
+             (Lines[End].empty() || Lines[End].back() != ';'))
+        ++End;
+      bool Hit = false;
+      for (size_t L = For; L <= End; ++L)
+        Hit = Hit || Vectorized.count(L + 1) != 0;
+      EXPECT_TRUE(Hit) << Name << ": the omp simd loop at line " << For + 1
+                       << " did not vectorize; compiler remarks:\n"
+                       << Outcome.Log;
+    }
+    EXPECT_EQ(Pragmas, 2)
+        << Name << ": expected one compute loop and one store loop";
+  }
 }
 
 //===----------------------------------------------------------------------===//

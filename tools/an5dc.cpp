@@ -56,7 +56,8 @@
 ///   --emit-omp DIR       write the callable OpenMP kernel library source
 ///   --verify             run the blocked emulator vs the reference
 ///   --verify-native      compile the native kernel and check it against
-///                        the reference bit for bit
+///                        the reference bit for bit, on a problem sized
+///                        to cross block, chunk and invocation seams
 ///   --run-native         compile (or fetch from cache), load and time the
 ///                        native kernel on a CPU-sized problem
 ///   --kernel-cache DIR   kernel-cache directory (default: see README)
@@ -419,23 +420,40 @@ BlockConfig verificationConfig(const StencilProgram &Program,
   return Small;
 }
 
+/// The --verify-native problem, sized from the configuration so the check
+/// crosses the seams a production run crosses: 2*cw+3 cells per blocked
+/// axis (cw = bS - 2*bT*RAD, so three blocks, the last one partial),
+/// 2*hS+3 planes on the streaming axis when hS > 0 (three chunks), and
+/// 2*bT+1 steps (two full-degree invocations plus a remainder).
+ProblemSize nativeVerificationProblem(const StencilProgram &Program,
+                                      const BlockConfig &Config) {
+  ProblemSize Problem;
+  const long long DefaultStream[] = {193, 97, 33};
+  Problem.Extents.push_back(Config.HS > 0
+                                ? 2LL * Config.HS + 3
+                                : DefaultStream[Program.numDims() - 1]);
+  for (int BS : Config.BS) {
+    long long ComputeWidth = BS - 2LL * Config.BT * Program.radius();
+    Problem.Extents.push_back(2 * ComputeWidth + 3);
+  }
+  Problem.TimeSteps = 2LL * Config.BT + 1;
+  return Problem;
+}
+
 /// Verifies the compiled native kernel against the reference bit for bit.
 /// Unlike --verify this runs the *actual* configuration — the native
 /// kernel handles production-sized blocks without shrinking.
 template <typename T>
 bool verifyNativeKernel(const StencilProgram &Program,
-                        const BlockConfig &Config,
+                        const BlockConfig &Config, const ProblemSize &Problem,
                         const NativeRuntimeOptions &NativeOpts) {
   NativeExecutor Executor(Program, Config, NativeOpts);
   if (!Executor.ok()) {
     std::fprintf(stderr, "an5dc: %s\n", Executor.error().c_str());
     return false;
   }
-  std::vector<long long> Extents =
-      Program.numDims() == 1   ? std::vector<long long>{193}
-      : Program.numDims() == 2 ? std::vector<long long>{97, 89}
-                               : std::vector<long long>{33, 29, 27};
-  long long Steps = 9;
+  const std::vector<long long> &Extents = Problem.Extents;
+  const long long Steps = Problem.TimeSteps;
   Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
   fillGridDeterministic(Ref0, 77);
   copyGrid(Ref0, Ref1);
@@ -926,12 +944,14 @@ int main(int Argc, char **Argv) {
   }
 
   if (Options.VerifyNative) {
+    const ProblemSize Problem = nativeVerificationProblem(*Program, Config);
     bool Ok = Program->elemType() == ScalarType::Float
-                  ? verifyNativeKernel<float>(*Program, Config,
+                  ? verifyNativeKernel<float>(*Program, Config, Problem,
                                               Options.NativeOpts)
-                  : verifyNativeKernel<double>(*Program, Config,
+                  : verifyNativeKernel<double>(*Program, Config, Problem,
                                                Options.NativeOpts);
-    std::printf("verify-native (%s): %s\n", Config.toString().c_str(),
+    std::printf("verify-native (%s, %s): %s\n", Config.toString().c_str(),
+                Problem.toString().c_str(),
                 Ok ? "native == reference (bitwise)" : "MISMATCH");
     if (!Ok)
       return 1;
