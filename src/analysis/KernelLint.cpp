@@ -55,10 +55,9 @@ void addFinding(LintReport &Report, LintRule Rule, int Line,
 /// The `an5d_*` symbols every kernel library must define
 /// (runtime/NativeExecutor.h, CppKernelAbiVersion contract).
 const char *const RequiredAbiSymbols[] = {
-    "an5d_abi_version", "an5d_stencil_name", "an5d_config",
-    "an5d_num_dims",    "an5d_radius",       "an5d_elem_size",
-    "an5d_block_time",  "an5d_max_threads",  "an5d_set_threads",
-    "an5d_run",
+    "an5d_abi_version", "an5d_stencil_name", "an5d_num_dims",
+    "an5d_radius",      "an5d_elem_size",    "an5d_max_threads",
+    "an5d_set_threads", "an5d_run",
 };
 
 /// Process-control and allocation-free-stdio calls that have no place in
@@ -186,6 +185,111 @@ void checkRestrict(LintReport &Report, const std::string &Stripped,
                    "never alias)");
 }
 
+/// True when the declaration \p Decl (one statement, without its `;`)
+/// names an object nobody can write: constexpr, or const-qualified at the
+/// top level (a `const` after the last `*`, or anywhere when there is no
+/// pointer declarator).
+bool declaresImmutableObject(const std::string &Decl) {
+  if (findToken(Decl, "constexpr") != std::string::npos)
+    return true;
+  const size_t Star = Decl.rfind('*');
+  return findToken(Decl, "const", Star == std::string::npos ? 0 : Star) !=
+         std::string::npos;
+}
+
+/// The declared name of \p Decl: the last identifier before its
+/// initializer or array bound.
+std::string declaredName(const std::string &Decl) {
+  size_t End = Decl.find_first_of("=[{");
+  if (End == std::string::npos)
+    End = Decl.size();
+  while (End > 0 && !isIdentChar(Decl[End - 1]))
+    --End;
+  size_t Begin = End;
+  while (Begin > 0 && isIdentChar(Decl[Begin - 1]))
+    --Begin;
+  return Decl.substr(Begin, End - Begin);
+}
+
+/// Flags every variable of static storage duration a kernel library could
+/// write: namespace-scope objects and function-local statics that are not
+/// const. Every caller of the loaded kernel shares such state, so it
+/// would serialize (or race) concurrent `an5d_run` calls. The scan splits
+/// the TU into statements at `;`, `{` and `}`; the braces of an
+/// `extern "C"` block open no scope, and preprocessor lines are skipped.
+void checkMutableStatics(LintReport &Report, std::string Text) {
+  for (size_t LineBegin = 0; LineBegin < Text.size();) {
+    size_t LineEnd = Text.find('\n', LineBegin);
+    if (LineEnd == std::string::npos)
+      LineEnd = Text.size();
+    const size_t First = Text.find_first_not_of(" \t", LineBegin);
+    if (First < LineEnd && Text[First] == '#')
+      Text.replace(First, LineEnd - First, LineEnd - First, ' ');
+    LineBegin = LineEnd + 1;
+  }
+
+  // One declaration statement (without its `;`) at \p Begin..End.
+  auto CheckStatement = [&](size_t Begin, size_t End, bool FileScope) {
+    const std::string Decl = Text.substr(Begin, End - Begin);
+    const size_t Lead = Decl.find_first_not_of(" \t\n");
+    if (Lead == std::string::npos)
+      return;
+    if (!FileScope && findToken(Decl, "static") != Lead)
+      return; // an ordinary local or an expression statement
+    for (const char *Keyword : {"using", "typedef", "template", "namespace",
+                                "struct", "class", "enum", "extern"})
+      if (findToken(Decl, Keyword) == Lead)
+        return;
+    // A function declaration: its parameter list precedes any initializer.
+    const size_t Paren = Decl.find('(');
+    if (Paren != std::string::npos && Paren < Decl.find('='))
+      return;
+    if (declaresImmutableObject(Decl))
+      return;
+    const std::string Name = declaredName(Decl);
+    addFinding(Report, LintRule::MutableStaticState,
+               lineOf(Text, Begin + Lead), Name,
+               "kernel library declares mutable static '" + Name +
+                   "'; every caller of the loaded kernel shares it, so "
+                   "concurrent an5d_run calls would race on it");
+  };
+
+  // True when the `{` at \p Brace opens an `extern "C"` block: the token
+  // before it is `extern` (the stripper blanked the "C").
+  auto OpensLinkageBlock = [&](size_t Brace) {
+    const size_t Last = Text.find_last_not_of(" \t\n", Brace);
+    if (Last == std::string::npos || Last < 5)
+      return false;
+    const size_t Begin = Last - 5;
+    return Text.compare(Begin, 6, "extern") == 0 &&
+           (Begin == 0 || !isIdentChar(Text[Begin - 1]));
+  };
+
+  std::vector<bool> OpensScope; // one entry per open brace
+  int Depth = 0;
+  size_t StatementBegin = 0;
+  for (size_t I = 0; I < Text.size(); ++I) {
+    const char C = Text[I];
+    if (C == '{') {
+      const bool Scope = I == 0 || !OpensLinkageBlock(I - 1);
+      OpensScope.push_back(Scope);
+      if (Scope)
+        ++Depth;
+    } else if (C == '}') {
+      if (!OpensScope.empty()) {
+        if (OpensScope.back())
+          --Depth;
+        OpensScope.pop_back();
+      }
+    } else if (C == ';') {
+      CheckStatement(StatementBegin, I, Depth == 0);
+    } else {
+      continue;
+    }
+    StatementBegin = I + 1;
+  }
+}
+
 } // namespace
 
 const char *an5d::lintTargetName(LintTarget Target) {
@@ -216,6 +320,8 @@ const char *an5d::lintRuleName(LintRule Rule) {
     return "missing-restrict";
   case LintRule::MissingKernelQualifier:
     return "missing-kernel-qualifier";
+  case LintRule::MutableStaticState:
+    return "mutable-static-state";
   }
   return "unknown";
 }
@@ -413,6 +519,7 @@ LintReport an5d::lintTranslationUnit(const std::string &Source,
     for (const char *Name : BannedInKernelLibrary)
       checkBannedCall(Report, Stripped, Name, Target);
     checkRestrict(Report, Stripped, "runInvocation", 2);
+    checkMutableStatics(Report, Stripped);
   }
 
   if (Target == LintTarget::CheckProgram) {

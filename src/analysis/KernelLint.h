@@ -13,6 +13,8 @@
 ///  * every `an5d_*` ABI symbol a kernel library must export is present,
 ///    inside an `extern "C"` block, and `an5d_abi_version` returns the
 ///    version the loader checks (runtime/NativeExecutor.h);
+///  * a kernel library declares no mutable variable of static storage
+///    duration, so concurrent `an5d_run` calls share nothing;
 ///  * the exact-float-literal policy: a float TU suffixes every
 ///    floating-point literal with `f` (one double-rounded literal breaks
 ///    the bit-for-bit promise), and a double TU carries no `f` suffix;
@@ -66,6 +68,10 @@ enum class LintRule {
   MissingRestrict,
   /// A CUDA TU without a __global__ kernel.
   MissingKernelQualifier,
+  /// A kernel library declares a non-const variable of static storage
+  /// duration (file scope or function-local `static`): state shared by
+  /// every caller, which breaks the reentrant an5d_run contract.
+  MutableStaticState,
 };
 
 /// Stable lowercase name of \p Rule (e.g. "missing-symbol").

@@ -7,6 +7,7 @@
 #include "codegen/CppCodegen.h"
 
 #include "codegen/ExprEmitter.h"
+#include "ir/ExprAnalysis.h"
 
 #include <cassert>
 #include <functional>
@@ -74,42 +75,56 @@ static std::string emitRingRows(int Radius, const std::string &Indent) {
   return Out;
 }
 
-/// Common prelude: includes, constants, indexing, evalCell, schedule.
-/// Every schedule constant is read off the lowered IR, never re-derived.
+/// Common prelude: includes, constants, indexing, helpers, evalCell,
+/// schedule. Every schedule constant is read off the lowered IR, never
+/// re-derived. A kernel library bakes in only the stencil, its element
+/// type and bS — bT and hS are an5d_run arguments — so the candidates of
+/// a tune that share a bS share one source and one compile; it keeps no
+/// file-scope state, and includes only the headers it uses (each standard
+/// header is parse time on every JIT compile).
 static std::string emitPrelude(const StencilProgram &Program,
                                const ScheduleIR &IR,
                                const ProblemSize *Problem, CppEmitMode Mode) {
   int NumDims = IR.NumDims;
+  const bool Check = Mode == CppEmitMode::CheckProgram;
   std::string Out;
-  if (Mode == CppEmitMode::CheckProgram)
+  if (Check)
     Out += "// Generated by the AN5D reproduction framework: blocked-vs-"
-           "reference self check.\n";
+           "reference self check.\n"
+           "// stencil " +
+           IR.StencilName + ", " + IR.Config.toString() + "\n";
   else
     Out += "// Generated by the AN5D reproduction framework: native OpenMP "
-           "kernel library.\n";
-  Out += "// stencil " + IR.StencilName + ", " + IR.Config.toString() + "\n";
-  Out += "#include <algorithm>\n#include <cmath>\n#include <cstdint>\n"
-         "#include <cstdio>\n#include <vector>\n";
-  if (Mode == CppEmitMode::KernelLibrary) {
-    Out += "#include <mutex>\n";
+           "kernel library.\n"
+           "// stencil " +
+           IR.StencilName + "; bT and hS are an5d_run arguments\n";
+  if (containsMathCall(Program.update()))
+    Out += "#include <cmath>\n";
+  Out += "#include <cstddef>\n";
+  if (Check)
+    Out += "#include <cstdint>\n#include <cstdio>\n";
+  Out += "#include <cstring>\n";
+  if (Check)
+    Out += "#include <vector>\n";
+  else
     Out += "#ifdef _OPENMP\n#include <omp.h>\n#endif\n";
-  }
   Out += "\n";
   Out += "using Real = " + std::string(scalarTypeName(Program.elemType())) +
          ";\n";
   Out += "static const int RAD = " + std::to_string(IR.Radius) + ";\n";
-  Out += "static const int BT = " + std::to_string(IR.Config.BT) + ";\n";
+  if (Check)
+    Out += "static const int BT = " + std::to_string(IR.Config.BT) + ";\n";
   if (NumDims >= 2)
     Out += "static const int BS1 = " + std::to_string(IR.Config.BS[0]) +
            ";\n";
   if (NumDims == 3)
     Out += "static const int BS2 = " + std::to_string(IR.Config.BS[1]) +
            ";\n";
-  Out += "static const long long HS = " + std::to_string(IR.Config.HS) +
-         ";\n";
 
-  if (Mode == CppEmitMode::CheckProgram) {
+  if (Check) {
     assert(Problem && "check programs bake the problem size in");
+    Out += "static const long long HS = " + std::to_string(IR.Config.HS) +
+           ";\n";
     Out += "static const long long NS = " +
            std::to_string(Problem->Extents[0]) + ";\n";
     if (NumDims >= 2)
@@ -120,47 +135,52 @@ static std::string emitPrelude(const StencilProgram &Program,
              std::to_string(Problem->Extents[2]) + ";\n";
     Out += "static const long long IT = " +
            std::to_string(Problem->TimeSteps) + ";\n";
-  } else {
-    Out += "// Grid extents (streaming dimension first); set per an5d_run "
-           "call.\n";
-    Out += "static long long NS = 0;\n";
-    if (NumDims >= 2)
-      Out += "static long long N1 = 0;\n";
-    if (NumDims == 3)
-      Out += "static long long N2 = 0;\n";
   }
   Out += "\n";
 
-  if (NumDims == 1) {
+  // The padded row-major index. Only the 1D one is extent-free, so the
+  // 2D/3D kernel libraries index through their run's extents instead.
+  if (NumDims == 1)
     Out += "static inline size_t pidx(long long i) {\n"
            "  return (size_t)(i + RAD);\n"
            "}\n";
-  } else if (NumDims == 2) {
-    Out += "static inline size_t pidx(long long i, long long j) {\n"
-           "  return (size_t)((i + RAD) * (N1 + 2 * RAD) + (j + RAD));\n"
-           "}\n";
-  } else {
-    Out += "static inline size_t pidx(long long i, long long j, long long k) "
-           "{\n"
-           "  return (size_t)(((i + RAD) * (N1 + 2 * RAD) + (j + RAD)) * "
-           "(N2 + 2 * RAD) + (k + RAD));\n"
-           "}\n";
-  }
-  if (Mode == CppEmitMode::CheckProgram) {
-    if (NumDims == 1)
+  if (Check) {
+    if (NumDims == 1) {
       Out += "static const size_t TOTAL = (size_t)(NS + 2 * RAD);\n";
-    else if (NumDims == 2)
+    } else if (NumDims == 2) {
+      Out += "static inline size_t pidx(long long i, long long j) {\n"
+             "  return (size_t)((i + RAD) * (N1 + 2 * RAD) + (j + RAD));\n"
+             "}\n";
       Out += "static const size_t TOTAL = (size_t)((NS + 2 * RAD) * (N1 + 2 "
              "* RAD));\n";
-    else
+    } else {
+      Out += "static inline size_t pidx(long long i, long long j, long long "
+             "k) {\n"
+             "  return (size_t)(((i + RAD) * (N1 + 2 * RAD) + (j + RAD)) * "
+             "(N2 + 2 * RAD) + (k + RAD));\n"
+             "}\n";
       Out += "static const size_t TOTAL = (size_t)((NS + 2 * RAD) * (N1 + 2 "
              "* RAD) * (N2 + 2 * RAD));\n";
+    }
   }
   Out += "\n";
 
+  Out += "static inline long long lmin(long long a, long long b) { return a < "
+         "b ? a : b; }\n"
+         "static inline long long lmax(long long a, long long b) { return a > "
+         "b ? a : b; }\n"
+         "// Zero or copy n lanes; n <= 0 is a no-op.\n"
+         "static inline void zeroN(Real *dst, long long n) {\n"
+         "  if (n > 0) std::memset(dst, 0, (size_t)n * sizeof(Real));\n"
+         "}\n"
+         "static inline void copyN(Real *dst, const Real *src, long long n) "
+         "{\n"
+         "  if (n > 0) std::memcpy(dst, src, (size_t)n * sizeof(Real));\n"
+         "}\n\n";
+
   // 2D/3D kernel libraries inline the update into their compute loops;
   // the check program's reference and the 1D kernel evaluate it here.
-  if (Mode == CppEmitMode::CheckProgram || NumDims == 1) {
+  if (Check || NumDims == 1) {
     Out += "// The stencil update; READ(ds" +
            std::string(NumDims >= 2 ? ", d1" : "") +
            std::string(NumDims == 3 ? ", d2" : "") +
@@ -171,7 +191,7 @@ static std::string emitPrelude(const StencilProgram &Program,
            ";\n}\n\n";
   }
 
-  if (Mode == CppEmitMode::CheckProgram)
+  if (Check)
     Out += "static void fillDeterministic(std::vector<Real> &a, uint64_t "
            "seed) {\n"
            "  uint64_t s = seed * 6364136223846793005ULL + "
@@ -239,72 +259,72 @@ static std::string emitReference(int NumDims) {
 /// from the hS division of Section 4.2.3 (hS=0 degenerates to one chunk
 /// and serial execution, exactly like the emulator).
 static std::string emitBlocked1d() {
-  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1).
-// Every chunk reads only `in` plus its own rings and writes a disjoint
-// [c0, c1) range of `out`, so the chunk loop is an OpenMP worksharing
-// loop when compiled with -fopenmp (rings are per-thread). The single
-// lane is its own compute region, so the 2D/3D halo-overwrite rule has
-// no 1D counterpart: interior planes always evaluate, boundary planes
-// stay pinned to the input.
-static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, int degree) {
-  const long long chunkLen = HS > 0 ? HS : NS;
-  const long long nchunks = (NS + chunkLen - 1) / chunkLen;
+  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
+// over the grid `ext` with stream chunk `hs`. Every chunk reads only `in`
+// plus its own rings and writes a disjoint [c0, c1) range of `out`, so the
+// chunk loop is an OpenMP worksharing loop when compiled with -fopenmp
+// (rings are per-thread). The single lane is its own compute region, so
+// the 2D/3D halo-overwrite rule has no 1D counterpart: interior planes
+// always evaluate, boundary planes stay pinned to the input.
+static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
+  const long long ns = ext[0];
+  const long long chunkLen = hs > 0 ? hs : ns;
+  const long long nchunks = (ns + chunkLen - 1) / chunkLen;
   const int ringDepth = 2 * RAD + 1;
 #ifdef _OPENMP
 #pragma omp parallel
 #endif
   {
-    std::vector<std::vector<Real>> rings((size_t)degree,
-                                         std::vector<Real>((size_t)ringDepth, (Real)0));
-    auto slot = [&](long long p) {
+    // Every tier's ring in one allocation.
+    Real *rings = new Real[(size_t)degree * ringDepth];
+    auto ring = [&](int tier, long long p) -> Real & {
       long long m = p % ringDepth;
-      return (size_t)(m < 0 ? m + ringDepth : m);
+      return rings[(size_t)tier * ringDepth + (size_t)(m < 0 ? m + ringDepth : m)];
     };
 #ifdef _OPENMP
 #pragma omp for schedule(static)
 #endif
     for (long long chunk = 0; chunk < nchunks; ++chunk) {
       const long long c0 = chunk * chunkLen;
-      const long long c1 = std::min(c0 + chunkLen, NS);
-      for (auto &r : rings)
-        std::fill(r.begin(), r.end(), (Real)0);
+      const long long c1 = lmin(c0 + chunkLen, ns);
+      zeroN(rings, (long long)degree * ringDepth);
       const long long sBegin = c0 - (long long)degree * RAD;
       const long long sEnd = c1 - 1 + (long long)degree * RAD;
       for (long long s = sBegin; s <= sEnd; ++s) {
         // Tier 0: load one stream cell from "global memory".
         {
-          const long long lo = std::max(c0 - (long long)degree * RAD, (long long)-RAD);
-          const long long hi = std::min(c1 - 1 + (long long)degree * RAD, NS - 1 + RAD);
+          const long long lo = lmax(c0 - (long long)degree * RAD, -RAD);
+          const long long hi = lmin(c1 - 1 + (long long)degree * RAD, ns - 1 + RAD);
           if (s >= lo && s <= hi)
-            rings[0][slot(s)] = in[pidx(s)];
+            ring(0, s) = in[pidx(s)];
         }
         // Tiers 1..degree: each lags its producer by one radius.
         for (int tier = 1; tier <= degree; ++tier) {
           const long long p = s - (long long)tier * RAD;
           const long long reach = (long long)(degree - tier) * RAD;
-          const long long lo = std::max(c0 - reach, (long long)-RAD);
-          const long long hi = std::min(c1 - 1 + reach, NS - 1 + RAD);
+          const long long lo = lmax(c0 - reach, -RAD);
+          const long long hi = lmin(c1 - 1 + reach, ns - 1 + RAD);
           if (p < lo || p > hi)
             continue;
-          std::vector<Real> &prev = rings[(size_t)tier - 1];
-          const bool interiorPlane = p >= 0 && p < NS;
+          const bool interiorPlane = p >= 0 && p < ns;
           if (tier < degree) {
             // Boundary sub-planes pinned to the input's boundary values.
-            rings[(size_t)tier][slot(p)] =
+            ring(tier, p) =
                 interiorPlane ? evalCell([&](int ds) {
-                  return prev[slot(p + ds)];
+                  return ring(tier - 1, p + ds);
                 })
                               : in[pidx(p)];
           } else {
             if (!interiorPlane || p < c0 || p >= c1)
               continue;
             out[pidx(p)] = evalCell([&](int ds) {
-              return prev[slot(p + ds)];
+              return ring(tier - 1, p + ds);
             });
           }
         }
       }
     }
+    delete[] rings;
   }
 }
 
@@ -317,18 +337,24 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
 /// ring rows and \p Update is the inline update expression over them.
 static std::string emitBlocked2d(const std::string &Rows,
                                  const std::string &Update) {
-  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1).
-// Every (chunk, block) pair reads only `in` plus its own rings and writes
-// a disjoint region of `out`, so the pair loop is an OpenMP worksharing
-// loop when compiled with -fopenmp (rings are per-thread). Each tier of an
-// interior sub-plane computes one branch-free lane range as an `omp simd`
-// loop; the edge lanes around it are pinned to the input outside the grid
-// and carry the previous tier forward inside it (halo overwrite).
-static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, int degree) {
+  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
+// over the grid `ext` with stream chunk `hs`. Every (chunk, block) pair
+// reads only `in` plus its own rings and writes a disjoint region of
+// `out`, so the pair loop is an OpenMP worksharing loop when compiled with
+// -fopenmp (rings are per-thread). Each tier of an interior sub-plane
+// computes one branch-free lane range as an `omp simd` loop; the edge
+// lanes around it are pinned to the input outside the grid and carry the
+// previous tier forward inside it (halo overwrite).
+static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
+  const long long ns = ext[0], n1 = ext[1];
+  // Offset of cell (i, j) in the padded row-major grid.
+  auto idx = [n1](long long i, long long j) {
+    return (size_t)((i + RAD) * (n1 + 2 * RAD) + (j + RAD));
+  };
   const long long cw = BS1 - 2LL * degree * RAD; // compute-region width
-  const long long nblocks = (N1 + cw - 1) / cw;
-  const long long chunkLen = HS > 0 ? HS : NS;
-  const long long nchunks = (NS + chunkLen - 1) / chunkLen;
+  const long long nblocks = (n1 + cw - 1) / cw;
+  const long long chunkLen = hs > 0 ? hs : ns;
+  const long long nchunks = (ns + chunkLen - 1) / chunkLen;
   const int ringDepth = 2 * RAD + 1;
   const size_t tierSize = (size_t)ringDepth * BS1;
 #ifdef _OPENMP
@@ -336,10 +362,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
 #endif
   {
     // Every tier's ring in one allocation; a row holds one sub-plane.
-    std::vector<Real> rings((size_t)degree * tierSize, (Real)0);
+    Real *rings = new Real[(size_t)degree * tierSize];
     auto ring = [&](int tier, long long p) {
       long long m = p % ringDepth;
-      return rings.data() + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * BS1;
+      return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * BS1;
     };
 #ifdef _OPENMP
 #pragma omp for collapse(2) schedule(static)
@@ -347,36 +373,35 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
     for (long long chunk = 0; chunk < nchunks; ++chunk)
       for (long long b = 0; b < nblocks; ++b) {
         const long long c0 = chunk * chunkLen;
-        const long long c1 = std::min(c0 + chunkLen, NS);
+        const long long c1 = lmin(c0 + chunkLen, ns);
         const long long origin = b * cw;
         const long long spanLo = origin - (long long)degree * RAD;
         // Lanes inLo <= lane < inHi lie inside the grid, exLo <= lane <
         // exHi inside the grid or its halo.
-        const long long inLo = std::max(-spanLo, 0LL);
-        const long long inHi = std::min(N1 - spanLo, (long long)BS1);
-        const long long exLo = std::max(-RAD - spanLo, 0LL);
-        const long long exHi = std::min(N1 + RAD - spanLo, (long long)BS1);
+        const long long inLo = lmax(-spanLo, 0);
+        const long long inHi = lmin(n1 - spanLo, BS1);
+        const long long exLo = lmax(-RAD - spanLo, 0);
+        const long long exHi = lmin(n1 + RAD - spanLo, BS1);
         // Pins lanes lo <= lane < hi of sub-plane p to the input; lanes
         // beyond the halo read as 0.
         auto pin = [&](Real *dst, long long p, long long lo, long long hi) {
-          const long long a = std::max(lo, exLo), z = std::min(hi, exHi);
+          const long long a = lmax(lo, exLo), z = lmin(hi, exHi);
           if (a >= z) {
-            std::fill(dst + lo, dst + hi, (Real)0);
+            zeroN(dst + lo, hi - lo);
             return;
           }
-          const Real *src = in + pidx(p, spanLo + a);
-          std::fill(dst + lo, dst + a, (Real)0);
-          std::copy(src, src + (z - a), dst + a);
-          std::fill(dst + z, dst + hi, (Real)0);
+          zeroN(dst + lo, a - lo);
+          copyN(dst + a, in + idx(p, spanLo + a), z - a);
+          zeroN(dst + z, hi - z);
         };
-        std::fill(rings.begin(), rings.end(), (Real)0);
+        zeroN(rings, (long long)(degree * tierSize));
         const long long sBegin = c0 - (long long)degree * RAD;
         const long long sEnd = c1 - 1 + (long long)degree * RAD;
         for (long long s = sBegin; s <= sEnd; ++s) {
           // Tier 0: load one sub-plane from "global memory".
           {
-            const long long lo = std::max(c0 - (long long)degree * RAD, (long long)-RAD);
-            const long long hi = std::min(c1 - 1 + (long long)degree * RAD, NS - 1 + RAD);
+            const long long lo = lmax(c0 - (long long)degree * RAD, -RAD);
+            const long long hi = lmin(c1 - 1 + (long long)degree * RAD, ns - 1 + RAD);
             if (s >= lo && s <= hi)
               pin(ring(0, s), s, 0, BS1);
           }
@@ -384,11 +409,11 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
           for (int tier = 1; tier <= degree; ++tier) {
             const long long p = s - (long long)tier * RAD;
             const long long reach = (long long)(degree - tier) * RAD;
-            const long long lo = std::max(c0 - reach, (long long)-RAD);
-            const long long hi = std::min(c1 - 1 + reach, NS - 1 + RAD);
+            const long long lo = lmax(c0 - reach, -RAD);
+            const long long hi = lmin(c1 - 1 + reach, ns - 1 + RAD);
             if (p < lo || p > hi)
               continue;
-            const bool interiorPlane = p >= 0 && p < NS;
+            const bool interiorPlane = p >= 0 && p < ns;
             if (tier < degree && !interiorPlane) {
               // Boundary sub-planes pinned to the input.
               pin(ring(tier, p), p, 0, BS1);
@@ -397,16 +422,16 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
             if (tier == degree && (!interiorPlane || p < c0 || p >= c1))
               continue;
             // The compute range: interior lanes within the tier's reach.
-            const long long clo = std::max(inLo, (long long)tier * RAD);
-            const long long chi = std::min(inHi, BS1 - (long long)tier * RAD);
+            const long long clo = lmax(inLo, (long long)tier * RAD);
+            const long long chi = lmin(inHi, BS1 - (long long)tier * RAD);
 )cpp" + Rows +
          R"cpp(            if (tier < degree) {
               Real *__restrict__ dst = ring(tier, p);
               const Real *cur = ring(tier - 1, p);
               // Edge lanes: pinned outside the grid, carried inside it.
               pin(dst, p, 0, inLo);
-              std::copy(cur + inLo, cur + clo, dst + inLo);
-              std::copy(cur + chi, cur + inHi, dst + chi);
+              copyN(dst + inLo, cur + inLo, clo - inLo);
+              copyN(dst + chi, cur + chi, inHi - chi);
               pin(dst, p, inHi, BS1);
 #ifdef _OPENMP
 #pragma omp simd
@@ -415,7 +440,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
                 dst[lane] = )cpp" +
          Update + R"cpp(;
             } else {
-              Real *__restrict__ dst = out + pidx(p, 0);
+              Real *__restrict__ dst = out + idx(p, 0);
 #ifdef _OPENMP
 #pragma omp simd
 #endif
@@ -426,6 +451,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
           }
         }
       }
+    delete[] rings;
   }
 }
 
@@ -437,21 +463,26 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
 /// blocked row over the contiguous bS2 axis.
 static std::string emitBlocked3d(const std::string &Rows,
                                  const std::string &Update) {
-  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1).
-// Every (chunk, block) triple reads only `in` plus its own rings and
-// writes a disjoint region of `out`, so the triple loop is an OpenMP
-// worksharing loop when compiled with -fopenmp (rings are per-thread).
-// Each tier of an interior sub-plane computes one branch-free lane range
-// per blocked row as an `omp simd` loop; the edge lanes around it are
-// pinned to the input outside the grid and carry the previous tier
-// forward inside it (halo overwrite).
-static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, int degree) {
+  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
+// over the grid `ext` with stream chunk `hs`. Every (chunk, block) triple
+// reads only `in` plus its own rings and writes a disjoint region of
+// `out`, so the triple loop is an OpenMP worksharing loop when compiled
+// with -fopenmp (rings are per-thread). Each tier of an interior sub-plane
+// computes one branch-free lane range per blocked row as an `omp simd`
+// loop; the edge lanes around it are pinned to the input outside the grid
+// and carry the previous tier forward inside it (halo overwrite).
+static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
+  const long long ns = ext[0], n1 = ext[1], n2 = ext[2];
+  // Offset of cell (i, j, k) in the padded row-major grid.
+  auto idx = [n1, n2](long long i, long long j, long long k) {
+    return (size_t)(((i + RAD) * (n1 + 2 * RAD) + (j + RAD)) * (n2 + 2 * RAD) + (k + RAD));
+  };
   const long long cw1 = BS1 - 2LL * degree * RAD;
   const long long cw2 = BS2 - 2LL * degree * RAD;
-  const long long nb1 = (N1 + cw1 - 1) / cw1;
-  const long long nb2 = (N2 + cw2 - 1) / cw2;
-  const long long chunkLen = HS > 0 ? HS : NS;
-  const long long nchunks = (NS + chunkLen - 1) / chunkLen;
+  const long long nb1 = (n1 + cw1 - 1) / cw1;
+  const long long nb2 = (n2 + cw2 - 1) / cw2;
+  const long long chunkLen = hs > 0 ? hs : ns;
+  const long long nchunks = (ns + chunkLen - 1) / chunkLen;
   const int ringDepth = 2 * RAD + 1;
   const long long LANES = (long long)BS1 * BS2;
   const size_t tierSize = (size_t)(ringDepth * LANES);
@@ -460,10 +491,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
 #endif
   {
     // Every tier's ring in one allocation; a plane holds one sub-plane.
-    std::vector<Real> rings((size_t)degree * tierSize, (Real)0);
+    Real *rings = new Real[(size_t)degree * tierSize];
     auto ring = [&](int tier, long long p) {
       long long m = p % ringDepth;
-      return rings.data() + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * LANES;
+      return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * LANES;
     };
 #ifdef _OPENMP
 #pragma omp for collapse(3) schedule(static)
@@ -472,37 +503,36 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
       for (long long b1 = 0; b1 < nb1; ++b1)
         for (long long b2 = 0; b2 < nb2; ++b2) {
           const long long c0 = chunk * chunkLen;
-          const long long c1 = std::min(c0 + chunkLen, NS);
+          const long long c1 = lmin(c0 + chunkLen, ns);
           const long long o1 = b1 * cw1, o2 = b2 * cw2;
           const long long lo1 = o1 - (long long)degree * RAD;
           const long long lo2 = o2 - (long long)degree * RAD;
           // Per blocked axis, lanes from in*Lo up to in*Hi lie inside the
           // grid and from ex*Lo up to ex*Hi inside the grid or its halo.
-          const long long in1Lo = std::max(-lo1, 0LL), in1Hi = std::min(N1 - lo1, (long long)BS1);
-          const long long in2Lo = std::max(-lo2, 0LL), in2Hi = std::min(N2 - lo2, (long long)BS2);
-          const long long ex1Lo = std::max(-RAD - lo1, 0LL), ex1Hi = std::min(N1 + RAD - lo1, (long long)BS1);
-          const long long ex2Lo = std::max(-RAD - lo2, 0LL), ex2Hi = std::min(N2 + RAD - lo2, (long long)BS2);
+          const long long in1Lo = lmax(-lo1, 0), in1Hi = lmin(n1 - lo1, BS1);
+          const long long in2Lo = lmax(-lo2, 0), in2Hi = lmin(n2 - lo2, BS2);
+          const long long ex1Lo = lmax(-RAD - lo1, 0), ex1Hi = lmin(n1 + RAD - lo1, BS1);
+          const long long ex2Lo = lmax(-RAD - lo2, 0), ex2Hi = lmin(n2 + RAD - lo2, BS2);
           // Pins lanes lo <= k < hi of blocked row r of sub-plane p to the
           // input; lanes beyond the halo read as 0.
           auto pin = [&](Real *dst, long long p, long long r, long long lo, long long hi) {
             Real *row = dst + r * BS2;
-            const long long a = std::max(lo, ex2Lo), z = std::min(hi, ex2Hi);
+            const long long a = lmax(lo, ex2Lo), z = lmin(hi, ex2Hi);
             if (r < ex1Lo || r >= ex1Hi || a >= z) {
-              std::fill(row + lo, row + hi, (Real)0);
+              zeroN(row + lo, hi - lo);
               return;
             }
-            const Real *src = in + pidx(p, lo1 + r, lo2 + a);
-            std::fill(row + lo, row + a, (Real)0);
-            std::copy(src, src + (z - a), row + a);
-            std::fill(row + z, row + hi, (Real)0);
+            zeroN(row + lo, a - lo);
+            copyN(row + a, in + idx(p, lo1 + r, lo2 + a), z - a);
+            zeroN(row + z, hi - z);
           };
-          std::fill(rings.begin(), rings.end(), (Real)0);
+          zeroN(rings, (long long)(degree * tierSize));
           const long long sBegin = c0 - (long long)degree * RAD;
           const long long sEnd = c1 - 1 + (long long)degree * RAD;
           for (long long s = sBegin; s <= sEnd; ++s) {
             {
-              const long long lo = std::max(c0 - (long long)degree * RAD, (long long)-RAD);
-              const long long hi = std::min(c1 - 1 + (long long)degree * RAD, NS - 1 + RAD);
+              const long long lo = lmax(c0 - (long long)degree * RAD, -RAD);
+              const long long hi = lmin(c1 - 1 + (long long)degree * RAD, ns - 1 + RAD);
               if (s >= lo && s <= hi)
                 for (long long r = 0; r < BS1; ++r)
                   pin(ring(0, s), s, r, 0, BS2);
@@ -510,11 +540,11 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
             for (int tier = 1; tier <= degree; ++tier) {
               const long long p = s - (long long)tier * RAD;
               const long long reach = (long long)(degree - tier) * RAD;
-              const long long lo = std::max(c0 - reach, (long long)-RAD);
-              const long long hi = std::min(c1 - 1 + reach, NS - 1 + RAD);
+              const long long lo = lmax(c0 - reach, -RAD);
+              const long long hi = lmin(c1 - 1 + reach, ns - 1 + RAD);
               if (p < lo || p > hi)
                 continue;
-              const bool interiorPlane = p >= 0 && p < NS;
+              const bool interiorPlane = p >= 0 && p < ns;
               if (tier < degree && !interiorPlane) {
                 for (long long r = 0; r < BS1; ++r)
                   pin(ring(tier, p), p, r, 0, BS2);
@@ -524,10 +554,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
                 continue;
               // The compute range: interior rows rlo <= r < rhi and lanes
               // klo <= k < khi within the tier's reach.
-              const long long rlo = std::max(in1Lo, (long long)tier * RAD);
-              const long long rhi = std::min(in1Hi, BS1 - (long long)tier * RAD);
-              const long long klo = std::max(in2Lo, (long long)tier * RAD);
-              const long long khi = std::min(in2Hi, BS2 - (long long)tier * RAD);
+              const long long rlo = lmax(in1Lo, (long long)tier * RAD);
+              const long long rhi = lmin(in1Hi, BS1 - (long long)tier * RAD);
+              const long long klo = lmax(in2Lo, (long long)tier * RAD);
+              const long long khi = lmin(in2Hi, BS2 - (long long)tier * RAD);
 )cpp" + Rows +
          R"cpp(              if (tier < degree) {
                 Real *__restrict__ dst = ring(tier, p);
@@ -536,7 +566,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
                 // copy (cheaper than two short copies per blocked row),
                 // lanes outside the grid pinned; the compute range below
                 // overwrites its own lanes.
-                std::copy(cur, cur + LANES, dst);
+                copyN(dst, cur, LANES);
                 for (long long r = 0; r < in1Lo; ++r)
                   pin(dst, p, r, 0, BS2);
                 for (long long r = in1Hi; r < BS1; ++r)
@@ -558,7 +588,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
               } else {
                 for (long long r = rlo; r < rhi; ++r) {
                   const long long base = r * BS2;
-                  Real *__restrict__ dst = out + pidx(p, lo1 + r, 0);
+                  Real *__restrict__ dst = out + idx(p, lo1 + r, 0);
 #ifdef _OPENMP
 #pragma omp simd
 #endif
@@ -570,13 +600,17 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, i
             }
           }
         }
+    delete[] rings;
   }
 }
 
 )cpp";
 }
 
-static std::string emitMain() {
+static std::string emitMain(int NumDims) {
+  std::string Extents = NumDims == 1   ? "NS"
+                        : NumDims == 2 ? "NS, N1"
+                                       : "NS, N1, N2";
   return R"cpp(int main() {
   std::vector<Real> refBuf[2] = {std::vector<Real>(TOTAL), std::vector<Real>(TOTAL)};
   fillDeterministic(refBuf[0], 42);
@@ -587,10 +621,12 @@ static std::string emitMain() {
     referenceStep(refBuf[t % 2].data(), refBuf[(t + 1) % 2].data());
 
   static int deg[1 << 16];
+  const long long ext[] = {)cpp" +
+         Extents + R"cpp(};
   const int calls = schedule(IT, BT, deg);
   int in = 0;
   for (int c = 0; c < calls; ++c) {
-    runInvocation(blkBuf[in].data(), blkBuf[in ^ 1].data(), deg[c]);
+    runInvocation(blkBuf[in].data(), blkBuf[in ^ 1].data(), ext, deg[c], HS);
     in ^= 1;
   }
   if (in != (int)(IT % 2)) {
@@ -616,9 +652,9 @@ static std::string emitMain() {
 }
 
 /// The extern "C" surface of a kernel library; see runtime/NativeExecutor.h
-/// for the loader-side contract.
-static std::string emitKernelApi(const StencilProgram &Program,
-                                 const BlockConfig &Config) {
+/// for the loader-side contract. Only the stencil and bS are baked in, so
+/// the run-time bT is checked against the block size here.
+static std::string emitKernelApi(const StencilProgram &Program) {
   int NumDims = Program.numDims();
   std::string Out;
   Out += "extern \"C\" {\n\n";
@@ -626,13 +662,10 @@ static std::string emitKernelApi(const StencilProgram &Program,
          std::to_string(CppKernelAbiVersion) + "; }\n";
   Out += "const char *an5d_stencil_name(void) { return \"" + Program.name() +
          "\"; }\n";
-  Out += "const char *an5d_config(void) { return \"" + Config.toString() +
-         "\"; }\n";
   Out += "int an5d_num_dims(void) { return " + std::to_string(NumDims) +
          "; }\n";
   Out += "int an5d_radius(void) { return RAD; }\n";
-  Out += "int an5d_elem_size(void) { return (int)sizeof(Real); }\n";
-  Out += "int an5d_block_time(void) { return BT; }\n\n";
+  Out += "int an5d_elem_size(void) { return (int)sizeof(Real); }\n\n";
   Out += "int an5d_max_threads(void) {\n"
          "#ifdef _OPENMP\n"
          "  return omp_get_max_threads();\n"
@@ -647,45 +680,46 @@ static std::string emitKernelApi(const StencilProgram &Program,
          "  (void)n;\n"
          "#endif\n"
          "}\n\n";
-  Out += "// Runs `it` time-steps of the blocked N.5D schedule. buf0 holds\n"
-         "// the input at t=0; both buffers use the padded row-major layout\n"
-         "// with a halo of RAD cells per side of every dimension in\n"
-         "// `extents` (streaming dimension first). The result of step `it`\n"
-         "// ends in buf{it % 2}, exactly as the double-buffered input loop\n"
-         "// would leave it. The buffers must be distinct (runInvocation\n"
-         "// declares them __restrict__). Returns 0 on success, non-zero\n"
-         "// on bad arguments.\n";
+  Out += "// Runs `it` time-steps of the blocked N.5D schedule in temporal\n"
+         "// blocks of `bt` steps and stream chunks of `hs` planes (0: one\n"
+         "// chunk). buf0 holds the input at t=0; both buffers use the padded\n"
+         "// row-major layout with a halo of RAD cells per side of every\n"
+         "// dimension in `extents` (streaming dimension first). The result\n"
+         "// of step `it` ends in buf{it % 2}, exactly as the double-buffered\n"
+         "// input loop would leave it. The buffers must be distinct\n"
+         "// (runInvocation declares them __restrict__). The library keeps\n"
+         "// no state between calls, so concurrent calls are safe. Returns 0\n"
+         "// on success and non-zero, before touching either buffer, on bad\n"
+         "// arguments, including a bt the baked bS cannot hold.\n";
   Out += "int an5d_run(void *buf0, void *buf1, const long long *extents,\n"
-         "             long long it) {\n"
+         "             long long it, int bt, long long hs) {\n"
          "  if (!buf0 || !buf1 || buf0 == buf1 || !extents || it < 0)\n"
          "    return 1;\n"
-         "  // One in-flight run per loaded kernel: the extents below are\n"
-         "  // file-scope globals shared by every caller of this library\n"
-         "  // (parallelism lives inside runInvocation, so serializing\n"
-         "  // entry costs nothing).\n"
-         "  static std::mutex runMutex;\n"
-         "  std::lock_guard<std::mutex> lock(runMutex);\n";
-  Out += "  NS = extents[0];\n";
+         "  if (bt < 1 || hs < 0)\n"
+         "    return 1;\n";
+  if (NumDims >= 2) {
+    Out += "  if (BS1 - 2LL * bt * RAD < 1";
+    if (NumDims == 3)
+      Out += " || BS2 - 2LL * bt * RAD < 1";
+    Out += ")\n    return 1;\n";
+  }
+  Out += "  if (extents[0] < 1";
   if (NumDims >= 2)
-    Out += "  N1 = extents[1];\n";
+    Out += " || extents[1] < 1";
   if (NumDims == 3)
-    Out += "  N2 = extents[2];\n";
-  Out += "  if (NS < 1";
-  if (NumDims >= 2)
-    Out += " || N1 < 1";
-  if (NumDims == 3)
-    Out += " || N2 < 1";
+    Out += " || extents[2] < 1";
   Out += ")\n    return 1;\n";
   Out += "  if (it == 0)\n"
          "    return 0;\n"
          "  Real *bufs[2] = {(Real *)buf0, (Real *)buf1};\n"
-         "  std::vector<int> deg((size_t)(it / BT) + 2, 0);\n"
-         "  const int calls = schedule(it, BT, deg.data());\n"
+         "  int *deg = new int[(size_t)(it / bt) + 2];\n"
+         "  const int calls = schedule(it, bt, deg);\n"
          "  int in = 0;\n"
          "  for (int c = 0; c < calls; ++c) {\n"
-         "    runInvocation(bufs[in], bufs[in ^ 1], deg[c]);\n"
+         "    runInvocation(bufs[in], bufs[in ^ 1], extents, deg[c], hs);\n"
          "    in ^= 1;\n"
          "  }\n"
+         "  delete[] deg;\n"
          "  return in == (int)(it % 2) ? 0 : 2;\n"
          "}\n\n";
   Out += "} // extern \"C\"\n";
@@ -718,7 +752,7 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
       emitPrelude(Program, Schedule, &Problem, CppEmitMode::CheckProgram);
   Out += emitReference(Schedule.NumDims);
   Out += emitBlocked(Program, Schedule, CppEmitMode::CheckProgram);
-  Out += emitMain();
+  Out += emitMain(Schedule.NumDims);
   return Out;
 }
 
@@ -738,15 +772,10 @@ std::string generateCppKernelLibrary(const StencilProgram &Program,
   assert(static_cast<int>(Schedule.Config.BS.size()) ==
              Schedule.NumDims - 1 &&
          "one block size per non-streaming dimension required");
-  // The register cap is an NVCC knob with no bearing on the CPU kernel;
-  // normalizing it away keeps configurations that differ only in the cap
-  // byte-identical, so they share one kernel-cache artifact.
-  ScheduleIR Normalized = Schedule;
-  Normalized.Config.RegisterCap = 0;
   std::string Out =
-      emitPrelude(Program, Normalized, nullptr, CppEmitMode::KernelLibrary);
-  Out += emitBlocked(Program, Normalized, CppEmitMode::KernelLibrary);
-  Out += emitKernelApi(Program, Normalized.Config);
+      emitPrelude(Program, Schedule, nullptr, CppEmitMode::KernelLibrary);
+  Out += emitBlocked(Program, Schedule, CppEmitMode::KernelLibrary);
+  Out += emitKernelApi(Program);
   return Out;
 }
 

@@ -5,26 +5,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generates portable C++ translations of the blocked N.5D schedule for one
-/// stencil and configuration — 1D (pure streaming: empty bS, one lane per
-/// hS chunk, OpenMP worksharing over chunks), 2D and 3D — in two modes
-/// sharing one blocked-invocation body (tier pipeline, halo overwrite,
-/// boundary pinning, stream division, host-side temporal scheduling):
+/// Generates portable C++ translations of the blocked N.5D schedule —
+/// 1D (pure streaming: empty bS, one lane per hS chunk, OpenMP
+/// worksharing over chunks), 2D and 3D — in two modes sharing one
+/// blocked-invocation body (tier pipeline, halo overwrite, boundary
+/// pinning, stream division) and one host-side temporal scheduler:
 ///
 ///  * **Self-check program** (generateCppCheckProgram): a standalone `main`
 ///    with a naive reference and a bitwise self-check, baking the problem
-///    size into the program. `main` exits 0 printing "AN5D-CHECK OK" only
-///    if the blocked result matches the reference bit for bit. An
-///    integration test compiles and runs it with the host compiler.
+///    size and the whole configuration into the program. `main` exits 0
+///    printing "AN5D-CHECK OK" only if the blocked result matches the
+///    reference bit for bit. An integration test compiles and runs it
+///    with the host compiler.
 ///
 ///  * **Kernel library** (generateCppKernelLibrary): a shared-library
 ///    translation unit exporting the `extern "C"` entry point
-///    `an5d_run(buf0, buf1, extents, timeSteps)` plus metadata query
-///    symbols (see runtime/NativeExecutor.h for the ABI contract). Grid
-///    extents and the step count are runtime arguments; the configuration
-///    and stencil are baked in. The (chunk x block) pair loop is an OpenMP
-///    worksharing loop when compiled with -fopenmp. This is what the
-///    native runtime (src/runtime/) compiles, caches and loads.
+///    `an5d_run(buf0, buf1, extents, timeSteps, bt, hs)` plus metadata
+///    query symbols (see runtime/NativeExecutor.h for the ABI contract).
+///    Only the stencil, its element type and bS are baked in; extents,
+///    step count, bT and hS are run-time arguments, so every configuration
+///    of a tune that shares a bS renders the same source and compiles
+///    once. The library keeps no file-scope state (calls are reentrant)
+///    and includes only <cstddef>, <cstring> and <omp.h>, plus <cmath>
+///    when the update calls a math function. The (chunk x block) pair
+///    loop is an OpenMP worksharing loop when compiled with -fopenmp.
+///    This is what the native runtime (src/runtime/) compiles, caches and
+///    loads.
 ///
 /// Both modes emit exactly the per-cell arithmetic of the in-process
 /// evaluators (same expression tree, float literals round-tripped through
@@ -63,8 +69,8 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
 
 /// Renders the callable OpenMP kernel library from a lowered schedule:
 /// the translation unit the native runtime compiles into a shared
-/// object. Extents and time-steps are parameters of the exported
-/// `an5d_run`.
+/// object. It depends on the schedule's stencil and bS only: extents,
+/// time-steps, bT and hS are parameters of the exported `an5d_run`.
 std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule);
 
@@ -75,7 +81,7 @@ std::string generateCppKernelLibrary(const StencilProgram &Program,
 
 /// The current `an5d_*` ABI version emitted into kernel libraries and
 /// checked by the loader before calling into one.
-constexpr int CppKernelAbiVersion = 1;
+constexpr int CppKernelAbiVersion = 2;
 
 } // namespace an5d
 

@@ -7,8 +7,9 @@
 /// \file
 /// A persistent on-disk cache of compiled kernel shared objects, keyed by
 /// an FNV-1a hash of (generated source, compiler fingerprint) — so a
-/// change to the stencil, the configuration, the code generator, the
-/// compiler binary or the flag set each lands on a fresh key, and repeat
+/// change to the stencil, its bS, the code generator, the compiler binary
+/// or the flag set each lands on a fresh key, configurations differing
+/// only in bT or hS (run-time kernel arguments) share one, and repeat
 /// tunes of the same point are compile-free.
 ///
 /// Layout under the cache directory:

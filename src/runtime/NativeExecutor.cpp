@@ -39,7 +39,8 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
                                const ScheduleIR &Schedule,
                                const NativeRuntimeOptions &Options,
                                KernelCache *SharedCache)
-    : Threads(Options.Threads) {
+    : Threads(Options.Threads), BlockTime(Schedule.Config.BT),
+      StreamChunk(Schedule.Config.HS) {
   const BlockConfig &Config = Schedule.Config;
   if (Program.numDims() < 1 || Program.numDims() > 3) {
     Error = "the native runtime supports 1D, 2D and 3D stencils (got " +
@@ -113,11 +114,6 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
   NumDims = Dims();
   Radius = Rad();
   ElemSize = Elem();
-  // Optional metadata (present since ABI v1, but nothing below depends on
-  // it): the baked-in temporal tile, which the traced run path uses to
-  // report per-temporal-block progress.
-  if (auto *BlockTimeFn = Library->fn<IntFn>("an5d_block_time"))
-    BlockTime = BlockTimeFn();
   if (NumDims != Program.numDims() || Radius != Program.radius() ||
       ElemSize != Program.wordSize()) {
     Error = "kernel metadata does not match the stencil program "
@@ -148,7 +144,7 @@ int NativeExecutor::runRaw(void *Buf0, void *Buf1, const long long *Extents,
   // did before the observability layer existed.
   if (obs::TraceRecorder::enabled())
     return runTraced(Buf0, Buf1, Extents, TimeSteps);
-  return Run(Buf0, Buf1, Extents, TimeSteps);
+  return Run(Buf0, Buf1, Extents, TimeSteps, BlockTime, StreamChunk);
 }
 
 int NativeExecutor::runTraced(void *Buf0, void *Buf1,
@@ -161,7 +157,7 @@ int NativeExecutor::runTraced(void *Buf0, void *Buf1,
   }
   obs::count("native.runs");
   if (BlockTime <= 0 || TimeSteps <= BlockTime)
-    return Run(Buf0, Buf1, Extents, TimeSteps);
+    return Run(Buf0, Buf1, Extents, TimeSteps, BlockTime, StreamChunk);
 
   // Per-temporal-block progress: invoke the kernel one bT-sized tile at a
   // time. Each invocation follows the ABI's double-buffer contract — S
@@ -179,7 +175,8 @@ int NativeExecutor::runTraced(void *Buf0, void *Buf1,
       BlockSpan.attr("t0", std::to_string(Done));
       BlockSpan.attr("steps", std::to_string(Steps));
     }
-    int Rc = Run(Bufs[Current], Bufs[1 - Current], Extents, Steps);
+    int Rc = Run(Bufs[Current], Bufs[1 - Current], Extents, Steps, BlockTime,
+                 StreamChunk);
     if (Rc != 0)
       return Rc;
     Current ^= static_cast<int>(Steps & 1);

@@ -16,22 +16,29 @@
 /// and exact-float literals; the equivalence suite in
 /// tests/NativeRuntimeTest.cpp pins this on every built-in benchmark).
 ///
-/// ## Kernel ABI (CppKernelAbiVersion = 1)
+/// ## Kernel ABI (CppKernelAbiVersion = 2)
 ///
 ///   int an5d_abi_version(void);
 ///   const char *an5d_stencil_name(void);  // e.g. "j2d5pt"
-///   const char *an5d_config(void);        // BlockConfig::toString()
 ///   int an5d_num_dims(void);              // 1, 2 or 3
 ///   int an5d_radius(void);
 ///   int an5d_elem_size(void);             // sizeof element in bytes
-///   int an5d_block_time(void);            // bT baked into the kernel
 ///   int an5d_max_threads(void);           // OpenMP pool size (1 if serial)
 ///   void an5d_set_threads(int n);         // n <= 0 keeps the default
 ///   int an5d_run(void *buf0, void *buf1, const long long *extents,
-///                long long timeSteps);    // 0 on success; buf0 and buf1
-///                                         // must be distinct (the blocked
-///                                         // invocation restrict-qualifies
-///                                         // them)
+///                long long timeSteps, int bt, long long hs);
+///
+/// A library bakes in the stencil, its element type and bS, nothing else:
+/// extents, step count, the temporal block bT and the stream chunk hS
+/// (0 = one chunk) are arguments of every an5d_run call, so all
+/// configurations of a tune that share a bS load one compiled kernel.
+/// an5d_run returns 0 on success and non-zero, before touching either
+/// buffer, on bad arguments: null or identical buffers (the blocked
+/// invocation restrict-qualifies them), a negative step count, an extent
+/// below 1, bt < 1, hs < 0, or a bt the baked bS cannot hold
+/// (bS - 2*bt*radius < 1 on some blocked axis). The library keeps no
+/// file-scope state, so concurrent calls — into one loaded kernel or
+/// several — are safe.
 ///
 /// Both buffers are padded row-major grids with a halo of radius cells per
 /// side of every dimension in `extents` (streaming dimension first) —
@@ -88,12 +95,13 @@ struct NativeRuntimeOptions {
 
 /// A loaded native kernel for one (stencil, configuration) pair.
 ///
-/// Construction compiles (or fetches) and loads the kernel; check ok()
-/// before running. The executor is usable from any thread: the kernel's
-/// grid extents live in per-library globals, so `an5d_run` serializes
-/// concurrent entries into the *same* loaded kernel behind an internal
-/// mutex (parallelism lives inside the invocation, so this costs
-/// nothing); distinct kernels run concurrently without contention.
+/// Construction compiles (or fetches) and loads the kernel for the
+/// stencil and bS; check ok() before running. Every run passes the
+/// schedule's bT and hS to `an5d_run`, so executors whose configurations
+/// differ only in bT or hS share one cache entry (cacheKey()). The
+/// executor is usable from any thread, and concurrent runs — of one
+/// executor or of several sharing a kernel — proceed in parallel: the
+/// kernel keeps no state between calls.
 class NativeExecutor {
 public:
   /// Builds the kernel from an already lowered schedule (the tuner's
@@ -126,10 +134,9 @@ public:
   /// built without OpenMP). 0 if the executor failed.
   int kernelMaxThreads() const;
 
-  /// The temporal tile (bT) baked into the loaded kernel, from its
-  /// `an5d_block_time` metadata; 0 if the executor failed or the symbol
-  /// is absent. The traced run path chunks long sweeps by this to report
-  /// per-temporal-block progress.
+  /// The temporal tile (bT) of the executor's schedule, passed to every
+  /// `an5d_run` call. The traced run path chunks long sweeps by this to
+  /// report per-temporal-block progress.
   int blockTime() const { return BlockTime; }
 
   /// Pins the kernel's OpenMP pool to \p N threads via `an5d_set_threads`
@@ -188,8 +195,10 @@ private:
   int ElemSize = 0;
   int Threads = 0;
   int BlockTime = 0;
+  long long StreamChunk = 0; ///< hS of the schedule; 0 = one chunk.
 
-  using RunFn = int(void *, void *, const long long *, long long);
+  using RunFn = int(void *, void *, const long long *, long long, int,
+                    long long);
   using IntFn = int();
   using SetThreadsFn = void(int);
   RunFn *Run = nullptr;

@@ -18,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 
 namespace an5d {
@@ -173,10 +174,9 @@ nativeMeasuredSweep(const StencilProgram &Program,
   }
 
   // Candidates sharing one configuration — the same top-K config timed
-  // against several problem sizes — share one compiled executor: the
-  // kernel bakes in the configuration, not the extents, so there is
-  // nothing problem-specific to rebuild. Each candidate maps to the slot
-  // of the first candidate with its configuration.
+  // against several problem sizes — share one executor and its warmup.
+  // Each candidate maps to the slot of the first candidate with its
+  // configuration.
   std::vector<std::size_t> KernelSlot(Candidates.size());
   {
     std::map<std::string, std::size_t> SlotByConfig;
@@ -186,24 +186,35 @@ nativeMeasuredSweep(const StencilProgram &Program,
               .first->second;
   }
 
-  // Stage 1: compile every unique kernel across the pool. Executors land
+  // Build order. A kernel library depends on the stencil and bS only (bT
+  // and hS are run-time arguments), so configurations sharing a bS share
+  // one compile and the rest of them are cache hits. The first slot of
+  // each bS goes first: the workers then claim every distinct compile
+  // before any hit, instead of one worker blocking on a key's build lock
+  // while another bS waits in the queue behind it.
+  std::vector<std::size_t> BuildOrder;
+  {
+    std::vector<std::size_t> Hits;
+    std::set<std::vector<int>> Shapes;
+    for (std::size_t I = 0; I < Candidates.size(); ++I)
+      if (KernelSlot[I] == I && Results[I].FailureReason.empty())
+        (Shapes.insert(Candidates[I].Config.BS).second ? BuildOrder : Hits)
+            .push_back(I);
+    BuildOrder.insert(BuildOrder.end(), Hits.begin(), Hits.end());
+  }
+
+  // Stage 1: build every slot's executor across the pool. Executors land
   // in their own pre-allocated slot, so the stage is race-free; the
-  // shared cache deduplicates identical sources (e.g. register-cap
-  // variants) behind its own lock.
+  // shared cache deduplicates identical sources behind its per-key lock.
   std::vector<std::unique_ptr<NativeExecutor>> Executors(Candidates.size());
   std::atomic<std::size_t> NextItem{0};
   auto Worker = [&]() {
-    for (std::size_t Item;
-         (Item = NextItem.fetch_add(1, std::memory_order_relaxed)) <
-         Candidates.size();) {
+    for (std::size_t Next;
+         (Next = NextItem.fetch_add(1, std::memory_order_relaxed)) <
+         BuildOrder.size();) {
       obs::gaugeSet("sweep.queue_depth",
-                    static_cast<long long>(
-                        Candidates.size() -
-                        std::min(Item + 1, Candidates.size())));
-      if (!Results[Item].FailureReason.empty())
-        continue; // verifier-rejected: never build
-      if (KernelSlot[Item] != Item)
-        continue; // another slot owns this configuration's kernel
+                    static_cast<long long>(BuildOrder.size() - Next - 1));
+      const std::size_t Item = BuildOrder[Next];
       obs::TraceSpan Span("sweep.compile");
       if (Span.active())
         Span.attr("config", Candidates[Item].Config.toString());
@@ -213,7 +224,7 @@ nativeMeasuredSweep(const StencilProgram &Program,
   };
   int NumWorkers = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(resolveSweepThreads(Options.CompileThreads)),
-      Candidates.size()));
+      BuildOrder.size()));
   if (NumWorkers <= 1) {
     Worker();
   } else {

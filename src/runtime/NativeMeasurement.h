@@ -111,9 +111,12 @@ timeNativeKernel<double>(const NativeExecutor &, const ProblemSize &, int,
 /// lowered to its ScheduleIR exactly once (or reuses the IR the tuner
 /// handed down in SweepCandidate::Schedule), compilation fans out across
 /// \p Options.CompileThreads workers (candidates sharing a configuration
-/// — the same config timed against several problem sizes, or register-cap
-/// variants — share one executor and its warmup), timing runs serially in
-/// candidate order. Results are indexed exactly like \p Candidates;
+/// — the same config timed against several problem sizes — share one
+/// executor and its warmup; configurations sharing a bS share one
+/// compiled kernel, and one configuration of every bS builds before any
+/// cache hit, so distinct kernels compile side by side), timing runs
+/// serially in candidate order. Results are indexed exactly like
+/// \p Candidates;
 /// infeasible or failed-to-build candidates come back with
 /// Feasible == false, and candidates whose kernel failed to build or
 /// rejected the run carry the reason in MeasuredResult::FailureReason.

@@ -513,12 +513,12 @@ std::string replaceFirst(std::string Text, const std::string &From,
 
 TEST(KernelLintMutation, MissingAbiSymbolIsFlagged) {
   std::string Source =
-      replaceFirst(cleanLibrarySource(), "an5d_block_time", "an5d_blk_time");
+      replaceFirst(cleanLibrarySource(), "an5d_elem_size", "an5d_elem_bytes");
   LintReport Report = lintTranslationUnit(Source, LintTarget::KernelLibrary,
                                           ScalarType::Float);
   ASSERT_FALSE(Report.clean());
   EXPECT_TRUE(hasRule(Report, LintRule::MissingSymbol));
-  EXPECT_EQ(Report.Findings.front().Subject, "an5d_block_time");
+  EXPECT_EQ(Report.Findings.front().Subject, "an5d_elem_size");
 }
 
 TEST(KernelLintMutation, MissingExternCIsFlagged) {
@@ -532,13 +532,62 @@ TEST(KernelLintMutation, MissingExternCIsFlagged) {
 }
 
 TEST(KernelLintMutation, WrongAbiVersionIsFlagged) {
-  std::string Source = replaceFirst(cleanLibrarySource(),
-                                    "an5d_abi_version(void) { return 1; }",
-                                    "an5d_abi_version(void) { return 7; }");
+  const std::string Version = std::to_string(CppKernelAbiVersion);
+  std::string Source =
+      replaceFirst(cleanLibrarySource(),
+                   "an5d_abi_version(void) { return " + Version + "; }",
+                   "an5d_abi_version(void) { return 7; }");
   LintReport Report = lintTranslationUnit(Source, LintTarget::KernelLibrary,
                                           ScalarType::Float);
   ASSERT_FALSE(Report.clean());
   EXPECT_TRUE(hasRule(Report, LintRule::AbiVersionMismatch));
+}
+
+TEST(KernelLintMutation, MutableFileScopeVariableIsFlagged) {
+  // Extents kept in a file-scope global make concurrent runs race.
+  std::string Source =
+      replaceFirst(cleanLibrarySource(), "static const int RAD",
+                   "static long long NS = 0;\nstatic const int RAD");
+  LintReport Report = lintTranslationUnit(Source, LintTarget::KernelLibrary,
+                                          ScalarType::Float);
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Rule, LintRule::MutableStaticState);
+  EXPECT_EQ(Report.Findings.front().Subject, "NS");
+  EXPECT_GT(Report.Findings.front().Line, 0);
+}
+
+TEST(KernelLintMutation, FunctionLocalStaticIsFlagged) {
+  // A function-local static is shared by every caller too.
+  std::string Source = replaceFirst(
+      cleanLibrarySource(), "  if (it == 0)\n",
+      "  static std::mutex runMutex;\n  if (it == 0)\n");
+  LintReport Report = lintTranslationUnit(Source, LintTarget::KernelLibrary,
+                                          ScalarType::Float);
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings.front().Rule, LintRule::MutableStaticState);
+  EXPECT_EQ(Report.Findings.front().Subject, "runMutex");
+}
+
+TEST(KernelLintMutation, ConstantsAndFunctionsAreNotStaticState) {
+  // File-scope constants (also behind extern "C"), declarations and
+  // function definitions, and ordinary locals are all fine.
+  LintReport Report = lintTranslationUnit(
+      "static const int A = 1;\n"
+      "static constexpr long long B = 2;\n"
+      "static const char *const Name = nullptr;\n"
+      "static int helper(int x);\n"
+      "extern \"C\" {\n"
+      "static const int C = 3;\n"
+      "int f(int x) { int y = x; static const int D = 4; return y + D; }\n"
+      "}\n",
+      LintTarget::KernelLibrary, ScalarType::Float);
+  EXPECT_FALSE(hasRule(Report, LintRule::MutableStaticState))
+      << Report.toString();
+  LintReport Pointer = lintTranslationUnit(
+      "static const char *Name = nullptr;\n", LintTarget::KernelLibrary,
+      ScalarType::Float);
+  EXPECT_TRUE(hasRule(Pointer, LintRule::MutableStaticState))
+      << "a pointer to const is itself writable";
 }
 
 TEST(KernelLintMutation, UnsuffixedFloatLiteralIsFlagged) {

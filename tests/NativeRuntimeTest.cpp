@@ -13,9 +13,13 @@
 ///    force-recompile, and failure accounting;
 ///  * NativeCompiler detection and failure reporting;
 ///  * the native measured sweep (compile pool + serial timing) and the
-///    Tuner's Native measurement backend;
+///    Tuner's Native measurement backend, which compiles one kernel per
+///    (stencil, bS);
 ///  * the vectorized 2D/3D kernels at the production flags: bit-for-bit
-///    on awkward extents, and every `omp simd` loop actually vectorized.
+///    on awkward extents, and every `omp simd` loop actually vectorized;
+///  * the kernel ABI: `an5d_run` takes bT and hS per call, rejects values
+///    the baked bS cannot hold without touching the buffers, and is
+///    reentrant (concurrent runs of one loaded kernel).
 ///
 /// Kernels build with -O1 appended (overriding the default -O2) to keep
 /// the many small test builds fast; optimization level cannot change
@@ -28,6 +32,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CppCodegen.h"
+#include "obs/Metrics.h"
+#include "runtime/DynamicKernel.h"
 #include "runtime/KernelCache.h"
 #include "runtime/NativeCompiler.h"
 #include "runtime/NativeExecutor.h"
@@ -41,11 +47,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace an5d;
@@ -483,6 +491,121 @@ TEST(NativeRuntime, ReportsMissingCompiler) {
 }
 
 //===----------------------------------------------------------------------===//
+// Kernel ABI: bT and hS per call, reentrant
+//===----------------------------------------------------------------------===//
+
+TEST(NativeAbi, ExecutorsDifferingInBlockTimeShareOneKernelAndRunConcurrently) {
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  ASSERT_NE(Program, nullptr);
+  BlockConfig Shallow = testConfig(*Program);
+  BlockConfig Deep = Shallow;
+  Deep.BT = 3;
+  NativeRuntimeOptions Options = fastBuildOptions(sharedCacheDir());
+  NativeExecutor A(*Program, Shallow, Options);
+  NativeExecutor B(*Program, Deep, Options);
+  ASSERT_TRUE(A.ok()) << A.error();
+  ASSERT_TRUE(B.ok()) << B.error();
+  EXPECT_EQ(A.cacheKey(), B.cacheKey()) << "bT must not reach the source";
+  EXPECT_EQ(A.blockTime(), 2);
+  EXPECT_EQ(B.blockTime(), 3);
+
+  // Each thread runs its own grids, of its own shape, through the one
+  // loaded kernel several times, so the runs overlap; any state the kernel
+  // kept between calls (extents, bT, hS) would corrupt the other's result.
+  constexpr long long Steps = 11; // odd: the result lands in buffer 1
+  constexpr int Rounds = 4;
+  struct Job {
+    const NativeExecutor *Executor;
+    std::vector<long long> Extents;
+    std::uint64_t Seed;
+    std::vector<float> Want;
+    int WrongRounds = 0;
+  };
+  std::vector<Job> Jobs = {{&A, {61, 47}, 71, {}}, {&B, {53, 67}, 72, {}}};
+  for (Job &J : Jobs) {
+    Grid<float> Ref0(J.Extents, Program->radius()),
+        Ref1(J.Extents, Program->radius());
+    fillGridDeterministic(Ref0, J.Seed);
+    copyGrid(Ref0, Ref1);
+    referenceRun<float>(*Program, {&Ref0, &Ref1}, Steps);
+    J.Want = Ref1.raw();
+  }
+  auto Drive = [&](Job &J) {
+    Grid<float> G0(J.Extents, Program->radius()),
+        G1(J.Extents, Program->radius());
+    for (int Round = 0; Round < Rounds; ++Round) {
+      fillGridDeterministic(G0, J.Seed);
+      copyGrid(G0, G1);
+      J.Executor->run<float>({&G0, &G1}, Steps);
+      J.WrongRounds += G1.raw() != J.Want;
+    }
+  };
+  std::thread First([&] { Drive(Jobs[0]); });
+  std::thread Second([&] { Drive(Jobs[1]); });
+  First.join();
+  Second.join();
+  for (const Job &J : Jobs)
+    EXPECT_EQ(J.WrongRounds, 0)
+        << "bT=" << J.Executor->blockTime() << " on "
+        << ProblemSize{J.Extents, Steps}.toString()
+        << " differs from referenceRun";
+}
+
+TEST(NativeAbi, RunRejectsWhatTheBakedBlockCannotHoldWithoutTouchingBuffers) {
+  using RunFn = int(void *, void *, const long long *, long long, int,
+                    long long);
+  for (const char *Name : {"star1d1r", "j2d5pt", "star3d1r"}) {
+    SCOPED_TRACE(Name);
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    ASSERT_NE(Program, nullptr);
+    const BlockConfig Config = testConfig(*Program);
+    NativeExecutor Executor(*Program, Config,
+                            fastBuildOptions(sharedCacheDir()));
+    ASSERT_TRUE(Executor.ok()) << Executor.error();
+    std::string Error;
+    std::unique_ptr<DynamicKernel> Library =
+        DynamicKernel::load(Executor.libraryPath(), &Error);
+    ASSERT_NE(Library, nullptr) << Error;
+    auto *Run = Library->fn<RunFn>("an5d_run");
+    ASSERT_NE(Run, nullptr);
+
+    std::vector<long long> Extents(
+        static_cast<std::size_t>(Program->numDims()), 9);
+    Grid<float> A(Extents, Program->radius()), B(Extents, Program->radius());
+    fillGridDeterministic(A, 5);
+    fillGridDeterministic(B, 6);
+    const std::vector<float> WantA = A.raw(), WantB = B.raw();
+    const std::size_t Bytes = WantA.size() * sizeof(float);
+
+    std::vector<std::pair<int, long long>> Rejected = {{0, Config.HS},
+                                                       {Config.BT, -1}};
+    // The shallowest bt whose compute width bS - 2*bt*RAD drops below 1
+    // on the narrowest blocked axis (1D has no bS to outgrow).
+    int TooDeep = 0;
+    if (!Config.BS.empty()) {
+      const int Narrowest = *std::min_element(Config.BS.begin(),
+                                              Config.BS.end());
+      const int Reach = 2 * Program->radius();
+      TooDeep = (Narrowest + Reach - 1) / Reach;
+      Rejected.push_back({TooDeep, Config.HS});
+    }
+    for (auto [Bt, Hs] : Rejected) {
+      EXPECT_NE(Run(A.data(), B.data(), Extents.data(), 3, Bt, Hs), 0)
+          << "bt=" << Bt << " hs=" << Hs;
+      EXPECT_EQ(std::memcmp(A.data(), WantA.data(), Bytes), 0)
+          << "bt=" << Bt << " hs=" << Hs << " wrote buf0";
+      EXPECT_EQ(std::memcmp(B.data(), WantB.data(), Bytes), 0)
+          << "bt=" << Bt << " hs=" << Hs << " wrote buf1";
+    }
+    // One step shallower fits, so the check sits exactly at the boundary.
+    if (TooDeep > 1)
+      EXPECT_EQ(Run(A.data(), B.data(), Extents.data(), 3, TooDeep - 1,
+                    Config.HS),
+                0);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Kernel cache
 //===----------------------------------------------------------------------===//
 
@@ -671,6 +794,48 @@ TEST(NativeMeasurement, OneDimensionalTunesThroughRealKernels) {
   EXPECT_EQ(Outcome.MeasurementFailures, 0u);
   EXPECT_TRUE(Outcome.Best.BS.empty())
       << "1D native tuning must keep the pure-streaming shape";
+}
+
+TEST(NativeMeasurement, ColdTuneCompilesOncePerBlockSize) {
+  // A kernel depends on the stencil and bS only, so a cold tune compiles
+  // one kernel per distinct bS of its top-K and loads the rest from the
+  // cache (1D kernels have no bS: one compile per stencil).
+  obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
+  Tuner T(GpuSpec::teslaV100());
+  for (const std::string &Name : nativeBackendBenchmarks()) {
+    SCOPED_TRACE(Name);
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    ASSERT_NE(Program, nullptr);
+    TuneOptions Options;
+    Options.Backend = MeasurementBackend::Native;
+    Options.TopK = 8;
+    Options.Native.Repeats = 1;
+    // Counting compiles needs no optimizer: -O0 keeps the cold builds of
+    // the radius-4 box stencils short.
+    Options.Native.Runtime.CacheDir = freshCacheDir("cold-" + Name);
+    Options.Native.Runtime.ExtraCompileFlags = {"-O0"};
+    // Plumbing only: a tiny timed problem.
+    ProblemSize Problem;
+    Problem.Extents.assign(static_cast<std::size_t>(Program->numDims()), 24);
+    Problem.TimeSteps = 4;
+
+    Registry.reset();
+    TuneOutcome Outcome = T.tune(*Program, Problem, Options);
+    ASSERT_TRUE(Outcome.Feasible);
+    ASSERT_EQ(Outcome.TopByModel.size(), Options.TopK);
+    EXPECT_EQ(Outcome.MeasurementFailures, 0u);
+    EXPECT_EQ(Outcome.VerifierRejections, 0u);
+    EXPECT_EQ(Outcome.AnalysisRejections, 0u);
+    std::set<std::vector<int>> Shapes;
+    for (const RankedConfig &Candidate : Outcome.TopByModel)
+      Shapes.insert(Candidate.Config.BS);
+    const long long Distinct = static_cast<long long>(Shapes.size());
+    EXPECT_EQ(Registry.counterValue("kernel_cache.misses"), Distinct);
+    EXPECT_EQ(Registry.counterValue("kernel_cache.hits"),
+              static_cast<long long>(Options.TopK) - Distinct);
+    if (Name == "j2d5pt" || Program->numDims() == 1)
+      EXPECT_EQ(Distinct, 1);
+  }
 }
 
 TEST(NativeMeasurement, SweepRecordsPerCandidateFailureReasons) {
