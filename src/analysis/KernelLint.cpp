@@ -181,8 +181,8 @@ void checkRestrict(LintReport &Report, const std::string &Stripped,
                Function,
                "'" + Function + "' must __restrict__-qualify its " +
                    std::to_string(MinCount) +
-                   " buffer pointers (the schedule verifier proves they "
-                   "never alias)");
+                   " buffer pointers (a time step never reads and writes "
+                   "the same buffer)");
 }
 
 /// True when the declaration \p Decl (one statement, without its `;`)

@@ -21,8 +21,9 @@
 ///  * no banned calls — process control and stdio have no place in a
 ///    shared object a tuner dlopens and times;
 ///  * the buffer pointers of the blocked invocation are
-///    restrict-qualified (the schedule verifier proves the buffers never
-///    alias; the qualifier hands that proof to the optimizer);
+///    restrict-qualified (a double-buffered time step never reads and
+///    writes the same buffer; the qualifier hands that fact to the
+///    optimizer);
 ///  * CUDA TUs declare an `extern "C" __global__` kernel.
 ///
 /// The linter parses nothing: it strips comments and string literals

@@ -32,8 +32,9 @@ std::string degreeSubject(const InvocationSchedule &Inv) {
   return "degree " + std::to_string(Inv.Degree);
 }
 
-/// Structural sanity (AN5D-A210). Returns false when the invocation is too
-/// malformed for the bounds checks to index into safely.
+/// Structural sanity (AN5D-A210) and a positive compute width (AN5D-A213).
+/// Returns false when the invocation is too malformed for the bounds checks
+/// to index into safely, or has no compute region for them to bound.
 bool checkStructure(const ScheduleIR &IR, const InvocationSchedule &Inv,
                     AnalysisReport &Report) {
   const std::string Subject = degreeSubject(Inv);
@@ -63,20 +64,35 @@ bool checkStructure(const ScheduleIR &IR, const InvocationSchedule &Inv,
     Ok = false;
   }
 
+  // bS carries exactly one entry per non-streaming dimension: an empty bS
+  // is the 1D pure-streaming schedule only.
   const std::size_t Blocked =
       Inv.NumDims >= 1 ? static_cast<std::size_t>(Inv.NumDims - 1) : 0;
-  if ((!Inv.BS.empty() && Inv.BS.size() != Blocked) ||
-      Inv.ComputeWidth.size() != Inv.BS.size() ||
-      Inv.BlockStride.size() != Inv.BS.size() ||
-      Inv.StoreWidth.size() != Inv.BS.size()) {
+  if (Inv.BS.size() != Blocked) {
+    Malformed("bS carries " + std::to_string(Inv.BS.size()) +
+              " entries but the stencil has " + std::to_string(Blocked) +
+              " non-streaming dimensions");
+    return false;
+  }
+  if (Inv.ComputeWidth.size() != Blocked ||
+      Inv.BlockStride.size() != Blocked || Inv.StoreWidth.size() != Blocked) {
     Malformed("blocked-axis vectors disagree in size");
     return false;
   }
-  for (std::size_t D = 0; D < Inv.BS.size(); ++D) {
-    if (Inv.BS[D] < 1 || Inv.ComputeWidth[D] < 1 || Inv.BlockStride[D] < 1 ||
-        Inv.StoreWidth[D] < 1) {
-      Malformed("non-positive block span, compute width, stride or store "
-                "width on axis " +
+  for (std::size_t D = 0; D < Blocked; ++D) {
+    // AN5D-A213: the bS >= 2*degree*radius + 1 rule. The per-tier regions
+    // are meaningless on an axis without a compute region.
+    if (Inv.ComputeWidth[D] < 1) {
+      finding(Report, "AN5D-A213", FindingSeverity::Error,
+              Subject + " axis " + std::to_string(D),
+              "compute width " + std::to_string(Inv.ComputeWidth[D]) +
+                  " is not positive: bS " + std::to_string(Inv.BS[D]) +
+                  " cannot hold 2*" + std::to_string(Inv.Degree) + "*" +
+                  std::to_string(Inv.Radius) + " halo cells");
+      Ok = false;
+    } else if (Inv.BS[D] < 1 || Inv.BlockStride[D] < 1 ||
+               Inv.StoreWidth[D] < 1) {
+      Malformed("non-positive block span, stride or store width on axis " +
                 std::to_string(D));
       Ok = false;
     }
@@ -185,6 +201,29 @@ void checkInvocation(const ScheduleIR &IR, const InvocationSchedule &Inv,
     const std::string TierSubject =
         Subject + " tier " + std::to_string(Tier.Tier);
 
+    // AN5D-A212: a tier evaluates Reach cells beyond the compute region and
+    // reads tap offsets past that, which its producer must have computed.
+    // On the stream axis tier 1's producer is the load stage, valid
+    // LoadStreamReach planes beyond the chunk; on a blocked axis it is the
+    // loaded span, which A206/A207 bound.
+    // The subject is assembled only when the check fails.
+    auto CheckProducerReach = [&](const std::string &Where,
+                                  const char *AxisSuffix,
+                                  long long ProducerReach, long long MinTap,
+                                  long long MaxTap) {
+      const long long Needed = Tier.Reach + std::max(-MinTap, MaxTap);
+      if (Needed > ProducerReach)
+        finding(Report, "AN5D-A212", FindingSeverity::Error,
+                Where + AxisSuffix,
+                "tier reads " + std::to_string(Needed) +
+                    " cells beyond the compute region but its producer is "
+                    "valid only " +
+                    std::to_string(ProducerReach) + " cells beyond it");
+    };
+    CheckProducerReach(TierSubject, " stream axis",
+                       T == 0 ? Inv.LoadStreamReach : Inv.Tiers[T - 1].Reach,
+                       MinTap0, MaxTap0);
+
     // AN5D-A205: at step s the consumer reads the producer's sub-plane
     // s - StreamLag + MaxTap0. Same-step availability requires the
     // producer to run earlier in the step; otherwise only step s-1 is
@@ -223,6 +262,9 @@ void checkInvocation(const ScheduleIR &IR, const InvocationSchedule &Inv,
       }
       const std::string AxisSubject =
           TierSubject + " axis " + std::to_string(D);
+      if (T > 0)
+        CheckProducerReach(AxisSubject, "", Inv.Tiers[T - 1].Reach, MinTapD,
+                           MaxTapD);
       const long long MinLane = Inv.LoadSpanHalo - Tier.Reach + MinTapD;
       if (MinLane < 0)
         finding(Report, "AN5D-A206", FindingSeverity::Error, AxisSubject,
@@ -249,7 +291,7 @@ void checkInvocation(const ScheduleIR &IR, const InvocationSchedule &Inv,
                   " exceeds computed width " +
                   std::to_string(Inv.ComputeWidth[D]));
     if (Inv.BlockStride[D] != Inv.StoreWidth[D])
-      finding(Report, "AN5D-A209", FindingSeverity::Warn,
+      finding(Report, "AN5D-A209", FindingSeverity::Error,
               Subject + " axis " + std::to_string(D),
               "block stride " + std::to_string(Inv.BlockStride[D]) +
                   " differs from store width " +
@@ -257,7 +299,7 @@ void checkInvocation(const ScheduleIR &IR, const InvocationSchedule &Inv,
                   " (tiling gaps or double stores)");
   }
   if (Inv.ChunkLength > 0 && Inv.ChunkStride != Inv.ChunkLength)
-    finding(Report, "AN5D-A209", FindingSeverity::Warn,
+    finding(Report, "AN5D-A209", FindingSeverity::Error,
             Subject + " stream axis",
             "chunk stride " + std::to_string(Inv.ChunkStride) +
                 " differs from chunk length " +

@@ -5,10 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Symbolic interval analysis over ScheduleIR proving every global-buffer
-/// load/store and every register-ring access of the emitted kernels
-/// in-bounds for ALL problem extents above the schedule's minimum —
-/// statically, instead of waiting for one unlucky extent to trip ASan.
+/// The one authority on whether a lowered schedule is legal. A symbolic
+/// interval analysis over ScheduleIR proves every global-buffer load/store
+/// and every register-ring access of the emitted kernels in-bounds for ALL
+/// problem extents above the schedule's minimum — statically, instead of
+/// waiting for one unlucky extent to trip ASan — together with the
+/// Section 4 invariants the blocked code relies on: the bT x radius halo
+/// chain from tier to tier, the 2*radius+1 register ring, wavefront order,
+/// and a gap- and overlap-free work-item tiling. Every invocation degree
+/// the host schedule can issue is its own proof obligation. The tuner's
+/// pre-JIT gate and `an5dc --analyze` run it through the standard
+/// pipeline.
 ///
 /// Bounds are affine in the per-axis extent E: `Coeff*E + Offset`
 /// (SymBound). An inequality `a <= b` is proven for every E >= MinExtent
@@ -32,9 +39,14 @@
 ///   AN5D-A206  ring lane underflow (load-span halo too small)
 ///   AN5D-A207  ring lane overflow (span exceeds the loaded block)
 ///   AN5D-A208  store width exceeds the computed width
-///   AN5D-A209  block/chunk tiling leaves gaps or overlap (Warn)
-///   AN5D-A210  schedule structurally malformed
+///   AN5D-A209  block/chunk stride differs from the stored width (gap or
+///              overlap between concurrent work items)
+///   AN5D-A210  schedule structurally malformed (bS arity included)
 ///   AN5D-A211  halo policy inconsistent with the blocked-axis set
+///   AN5D-A212  tier reads outside its producer's valid region
+///   AN5D-A213  compute width < 1: the halo consumes the block
+///
+/// Every finding is an Error.
 ///
 //===----------------------------------------------------------------------===//
 

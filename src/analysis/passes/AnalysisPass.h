@@ -8,10 +8,11 @@
 /// A small pass framework for static analyses over the lowered pipeline
 /// state: typed passes run over (StencilProgram, ExprPlan, ScheduleIR) and
 /// emit structured findings with stable IDs (`AN5D-A###`), one severity
-/// each, and both human and JSON renderings. It is the layer above the
-/// PR-6 ScheduleVerifier: the verifier proves one schedule's shape; the
-/// passes here prove tape well-formedness, buffer-access bounds, and
-/// compute static resource features for the tuner's cost model.
+/// each, and both human and JSON renderings. The passes prove tape
+/// well-formedness and schedule legality — buffer-access bounds and the
+/// Section 4 halo, ring, wavefront and tiling invariants, the one
+/// authority on whether a schedule is legal — and compute static resource
+/// features for the tuner's cost model.
 ///
 /// Finding IDs are append-only and never reused — tests, the `--analyze`
 /// JSON report and the README glossary all key on them:

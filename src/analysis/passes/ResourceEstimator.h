@@ -76,7 +76,7 @@ struct ResourceEstimate {
 };
 
 /// Estimates off an already-lowered \p IR (the tuner path: the IR exists
-/// for the verifier anyway, so nothing is re-lowered).
+/// for the analysis gate anyway, so nothing is re-lowered).
 ResourceEstimate estimateResources(const StencilProgram &Program,
                                    const ScheduleIR &IR);
 

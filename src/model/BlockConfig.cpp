@@ -68,10 +68,6 @@ bool BlockConfig::isFeasible(int Radius, int MaxThreadsPerBlock) const {
   return true;
 }
 
-bool BlockConfig::matchesDimensionality(int NumDims) const {
-  return static_cast<int>(BS.size()) == NumDims - 1;
-}
-
 std::string BlockConfig::toString() const {
   std::string Out = "bT=" + std::to_string(BT) + " bS=";
   if (BS.empty())

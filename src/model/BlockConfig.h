@@ -70,14 +70,9 @@ struct BlockConfig {
   /// the thread count respects \p MaxThreadsPerBlock. This cannot check
   /// that BS has one entry per non-streaming dimension (the config does
   /// not know the stencil's dimensionality); evaluateModel enforces that
-  /// arity contract for the model/tuner stack.
+  /// arity contract for the model/tuner stack, and the access-bounds
+  /// prover for the lowered schedule (AN5D-A210).
   bool isFeasible(int Radius, int MaxThreadsPerBlock = 1024) const;
-
-  /// True if BS carries exactly one entry per non-streaming dimension of
-  /// an \p NumDims-dimensional stencil — the arity contract isFeasible
-  /// cannot check on its own (see above). The schedule verifier and the
-  /// model stack share this predicate.
-  bool matchesDimensionality(int NumDims) const;
 
   std::string toString() const;
 };

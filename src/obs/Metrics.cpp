@@ -291,7 +291,6 @@ const std::vector<std::string> &knownMetricNames() {
       "measure.failures.build_failed",      // kernel generation/compile/load
       "measure.failures.never_built",       // compile stage never produced it
       "measure.failures.run_rejected",      // an5d_run returned non-zero
-      "measure.failures.verifier_rejected", // static schedule proof refused
       "measure.repeats",              // timed kernel repetitions
       "measure.run_seconds",          // histogram: timed kernel runs
       "measure.warmups",              // untimed warmup runs
@@ -301,9 +300,6 @@ const std::vector<std::string> &knownMetricNames() {
       "tuner.analysis_rejections",    // candidates the pass pipeline refused
       "tuner.candidates_ranked",      // model-ranked candidates per tune
       "tuner.tunes",                  // tuning flows started
-      "tuner.verifier_rejections",    // candidates the tuner's gate refused
-      "verifier.checks",              // schedule verifications performed
-      "verifier.rejections",          // verifications with violations
   };
   return Names;
 }

@@ -7,7 +7,7 @@
 /// \file
 /// One MetricsRegistry for the whole process, unifying the stats that used
 /// to live in disconnected structs (KernelCacheStats, TuneOutcome,
-/// MeasuredResult): kernel-cache hits/misses/evictions, verifier
+/// MeasuredResult): kernel-cache hits/misses/evictions, analysis
 /// rejections, per-kind measurement failures, measurement repeats/clamps,
 /// sweep queue occupancy, compile-time histograms. Producers bump named
 /// instruments; consumers (an5dc --metrics / --obs-summary, the metrics

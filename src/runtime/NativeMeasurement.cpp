@@ -6,7 +6,6 @@
 
 #include "runtime/NativeMeasurement.h"
 
-#include "analysis/ScheduleVerifier.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "sim/Grid.h"
@@ -132,8 +131,8 @@ nativeMeasuredSweep(const StencilProgram &Program,
   }
 
   // Lower each candidate exactly once (unless the caller — the tuner —
-  // already did and handed the IR down): the verifier, the kernel codegen
-  // and the timing stage below all consume this one schedule.
+  // already did and handed the IR down): the kernel codegen and the
+  // timing stage below both consume this one schedule.
   std::vector<ScheduleIR> Lowered(Candidates.size());
   std::vector<const ScheduleIR *> Schedules(Candidates.size());
   for (std::size_t I = 0; I < Candidates.size(); ++I) {
@@ -147,29 +146,6 @@ nativeMeasuredSweep(const StencilProgram &Program,
     } else {
       Lowered[I] = lowerSchedule(Program, Candidates[I].Config);
       Schedules[I] = &Lowered[I];
-    }
-  }
-
-  // Stage 0: static schedule verification, before any compiler runs. A
-  // candidate the interval analysis cannot prove safe is rejected here —
-  // no JIT time spent — with the verdict as its failure reason. Only
-  // configurations the feasibility model accepts are verified, so
-  // genuinely infeasible candidates keep their established "infeasible"
-  // diagnostics from the build path below.
-  if (Options.VerifySchedule) {
-    AN5D_TRACE_SPAN("sweep.verify");
-    for (std::size_t I = 0; I < Candidates.size(); ++I) {
-      const BlockConfig &Config = Candidates[I].Config;
-      if (!Config.matchesDimensionality(Program.numDims()) ||
-          !Config.isFeasible(Program.radius()))
-        continue;
-      ScheduleVerifyResult Verdict = verifyScheduleIR(*Schedules[I]);
-      if (!Verdict.proven()) {
-        Results[I].FailureReason = "schedule verifier rejected " +
-                                   Config.toString() + ": " +
-                                   Verdict.Violations.front().toString();
-        Results[I].FailureKind = MeasureFailureKind::VerifierRejected;
-      }
     }
   }
 
@@ -197,7 +173,7 @@ nativeMeasuredSweep(const StencilProgram &Program,
     std::vector<std::size_t> Hits;
     std::set<std::vector<int>> Shapes;
     for (std::size_t I = 0; I < Candidates.size(); ++I)
-      if (KernelSlot[I] == I && Results[I].FailureReason.empty())
+      if (KernelSlot[I] == I)
         (Shapes.insert(Candidates[I].Config.BS).second ? BuildOrder : Hits)
             .push_back(I);
     BuildOrder.insert(BuildOrder.end(), Hits.begin(), Hits.end());
@@ -246,8 +222,6 @@ nativeMeasuredSweep(const StencilProgram &Program,
       static_cast<double>(Program.flopsPerCell().total());
   std::vector<bool> Warmed(Candidates.size(), false);
   for (std::size_t I = 0; I < Candidates.size(); ++I) {
-    if (!Results[I].FailureReason.empty())
-      continue; // verifier-rejected in stage 0
     std::size_t Slot = KernelSlot[I];
     NativeExecutor *Executor = Executors[Slot].get();
     if (!Executor || !Executor->ok()) {

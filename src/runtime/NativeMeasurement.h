@@ -13,6 +13,12 @@
 /// serially, one kernel at a time with the machine to itself, so
 /// measurements are not polluted by sibling candidates.
 ///
+/// The sweep runs no static check of its own: the tuner has already
+/// passed every candidate through the analysis pipeline
+/// (analysis/passes/AnalysisPass.h), the one schedule-legality gate, and
+/// a configuration the kernel cannot run fails through the build or run
+/// path with a MeasureFailureKind.
+///
 /// The numbers are wall-clock GFLOP/s of this machine's CPU, not of the
 /// modeled GPU: they rank configurations by real behavior but live on a
 /// different scale than the simulated backend (see README "Native
@@ -51,15 +57,6 @@ struct NativeMeasureOptions {
   /// several problem sizes) reuse that warmup (an5dc --measure-repeats
   /// sets the timed count).
   int Repeats = 2;
-
-  /// Statically verify each candidate's schedule
-  /// (analysis/ScheduleVerifier.h) before spending compile time on it; a
-  /// rejected candidate never reaches the compiler and carries the
-  /// verifier's verdict in MeasuredResult::FailureReason. Infeasible
-  /// configurations still report through the build path as before — the
-  /// verifier gates only configurations the feasibility model accepts,
-  /// so a rejection flags model/verifier disagreement.
-  bool VerifySchedule = true;
 };
 
 /// A problem size small enough for wall-clock candidate timing on a CPU

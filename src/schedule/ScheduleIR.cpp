@@ -32,9 +32,14 @@ const InvocationSchedule &ScheduleIR::full() const {
   return Invocations.back();
 }
 
-InvocationSchedule an5d::lowerInvocation(const StencilProgram &Program,
-                                         const BlockConfig &Config,
-                                         int Degree) {
+namespace {
+
+/// Lowers the invocation plan of \p Config at temporal degree \p Degree
+/// (1 <= Degree <= Config.BT; the host schedule can issue any such
+/// degree). Never rejects: structurally broken configurations lower to a
+/// plan the prover refutes.
+InvocationSchedule lowerInvocation(const StencilProgram &Program,
+                                   const BlockConfig &Config, int Degree) {
   const long long Rad = Program.radius();
   InvocationSchedule M;
   M.Name = Program.name() + " " + Config.toString() + " degree " +
@@ -72,6 +77,8 @@ InvocationSchedule an5d::lowerInvocation(const StencilProgram &Program,
                                    : ScheduleHaloPolicy::CarryPreviousTier;
   return M;
 }
+
+} // namespace
 
 ScheduleIR an5d::lowerSchedule(const StencilProgram &Program,
                                const BlockConfig &Config) {

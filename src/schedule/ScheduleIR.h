@@ -15,7 +15,8 @@
 ///     the `an5d_run` kernel library,
 ///   - codegen/CudaCodegen prints it as the register-ring CUDA kernel and
 ///     its host driver, and
-///   - analysis/ScheduleVerifier proves its invariants statically.
+///   - analysis/passes/AccessBoundsProver proves its invariants
+///     statically — the one authority on whether a schedule is legal.
 ///
 /// The IR captures, per invocation degree d in [1, bT]:
 ///
@@ -39,7 +40,7 @@
 ///
 /// Every field is a plain mutable value so tests can corrupt single
 /// invariants (shrink a halo, swap a wave, overlap two lanes) and assert
-/// the verifier flags exactly that corruption.
+/// the prover flags exactly that corruption with one AN5D-A2xx ID.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +89,7 @@ struct TierSchedule {
 };
 
 /// Explicit schedule of one temporal-block invocation at a fixed degree.
-/// lowerInvocation derives it from (program, config); every field is a
+/// lowerSchedule derives it from (program, config); every field is a
 /// plain value so tests can corrupt single invariants.
 struct InvocationSchedule {
   std::string Name; ///< "<stencil> <config> degree <d>" for messages.
@@ -148,7 +149,7 @@ struct InvocationSchedule {
 /// invocation plan for every degree the Section 4.3.1 host schedule can
 /// issue, plus the invariants shared across degrees. This is the single
 /// schedule object the emulator, the C++ and CUDA backends, and the
-/// verifier all consume.
+/// access-bounds prover all consume.
 struct ScheduleIR {
   std::string StencilName;
   int NumDims = 1;
@@ -167,7 +168,7 @@ struct ScheduleIR {
   ScheduleHaloPolicy HaloPolicy = ScheduleHaloPolicy::CarryPreviousTier;
 
   /// Invocation plans for degrees 1..Config.BT in order (empty when
-  /// Config.BT < 1 — lowering never rejects; the verifier does).
+  /// Config.BT < 1 — lowering never rejects; the prover does).
   std::vector<InvocationSchedule> Invocations;
 
   /// The plan for invocation degree \p Degree (1 <= Degree <=
@@ -179,17 +180,10 @@ struct ScheduleIR {
   const InvocationSchedule &full() const;
 };
 
-/// Lowers the invocation plan of \p Config at temporal degree \p Degree
-/// (1 <= Degree <= Config.BT; the host schedule can issue any such
-/// degree). Never rejects: structurally broken configurations lower to a
-/// plan the verifier refutes.
-InvocationSchedule lowerInvocation(const StencilProgram &Program,
-                                   const BlockConfig &Config, int Degree);
-
 /// The single lowering entry point: derives the complete ScheduleIR the
-/// emulator, both codegen backends, and the verifier share for
+/// emulator, both codegen backends, and the prover share for
 /// (\p Program, \p Config). Never rejects — infeasible configurations
-/// lower to an IR the verifier refutes, so callers decide policy.
+/// lower to an IR the prover refutes, so callers decide policy.
 ScheduleIR lowerSchedule(const StencilProgram &Program,
                          const BlockConfig &Config);
 

@@ -8,7 +8,7 @@
 /// A CPU emulation of the exact execution model AN5D's generated CUDA
 /// kernels implement (Section 4.1), rendered from the lowered
 /// schedule/ScheduleIR — the executor consumes the same schedule object
-/// the codegen backends print and the verifier proves:
+/// the codegen backends print and the access-bounds prover proves:
 ///
 ///  * one thread-block per spatial block of bS lanes (compute region
 ///    bS - 2*bT*rad plus halo), streaming over dimension 0;

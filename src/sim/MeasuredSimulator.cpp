@@ -17,8 +17,6 @@ const char *measureFailureKindLabel(MeasureFailureKind Kind) {
   switch (Kind) {
   case MeasureFailureKind::None:
     return "";
-  case MeasureFailureKind::VerifierRejected:
-    return "verifier_rejected";
   case MeasureFailureKind::BuildFailed:
     return "build_failed";
   case MeasureFailureKind::NeverBuilt:

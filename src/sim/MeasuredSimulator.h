@@ -50,17 +50,15 @@ namespace an5d {
 /// to communicate failures through free-form FailureReason strings only,
 /// which downstream consumers (an5dc warnings, the metrics counters) had
 /// to re-parse; the kind is the machine-readable classification, the
-/// string stays the human-readable detail (compiler log, verifier
-/// verdict).
+/// string stays the human-readable detail (compiler log, run status).
 enum class MeasureFailureKind {
-  None,             ///< No failure (or model-infeasible: silently pruned).
-  VerifierRejected, ///< Static schedule verification refused the config.
-  BuildFailed,      ///< Kernel generation, compilation or loading failed.
-  NeverBuilt,       ///< The compile stage never produced this kernel.
-  RunRejected,      ///< The compiled kernel returned a non-zero status.
+  None,        ///< No failure (or model-infeasible: silently pruned).
+  BuildFailed, ///< Kernel generation, compilation or loading failed.
+  NeverBuilt,  ///< The compile stage never produced this kernel.
+  RunRejected, ///< The compiled kernel returned a non-zero status.
 };
 
-/// Short lowercase label for a failure kind ("verifier_rejected", ...;
+/// Short lowercase label for a failure kind ("build_failed", ...;
 /// empty for None) — the vocabulary shared by an5dc's warning text and
 /// the metric names.
 const char *measureFailureKindLabel(MeasureFailureKind Kind);

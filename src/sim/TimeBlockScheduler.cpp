@@ -45,25 +45,4 @@ std::vector<int> scheduleTimeBlocks(long long TimeSteps, int BT) {
   return Degrees;
 }
 
-std::string
-describeTimeBlockScheduleViolation(const std::vector<int> &Degrees,
-                                   long long TimeSteps, int BT) {
-  long long Sum = 0;
-  for (std::size_t I = 0; I < Degrees.size(); ++I) {
-    if (Degrees[I] < 1 || Degrees[I] > BT)
-      return "host schedule call " + std::to_string(I) + " has degree " +
-             std::to_string(Degrees[I]) + " outside [1, " +
-             std::to_string(BT) + "]";
-    Sum += Degrees[I];
-  }
-  if (Sum != TimeSteps)
-    return "host schedule covers " + std::to_string(Sum) +
-           " time-steps instead of " + std::to_string(TimeSteps);
-  if ((static_cast<long long>(Degrees.size()) % 2) != (TimeSteps % 2))
-    return "host schedule issues " + std::to_string(Degrees.size()) +
-           " kernel calls, breaking the buffer parity of " +
-           std::to_string(TimeSteps) + " time-steps";
-  return std::string();
-}
-
 } // namespace an5d

@@ -19,7 +19,6 @@
 #ifndef AN5D_SIM_TIMEBLOCKSCHEDULER_H
 #define AN5D_SIM_TIMEBLOCKSCHEDULER_H
 
-#include <string>
 #include <vector>
 
 namespace an5d {
@@ -31,14 +30,6 @@ namespace an5d {
 /// to TimeSteps; and the number of kernel calls is congruent to
 /// TimeSteps mod 2.
 std::vector<int> scheduleTimeBlocks(long long TimeSteps, int BT);
-
-/// Checks the scheduleTimeBlocks postconditions on \p Degrees for
-/// (\p TimeSteps, \p BT): degree bounds, step sum, and call-count parity.
-/// Returns an empty string when they all hold, otherwise a description of
-/// the first broken invariant (LLVM diagnostic style). The schedule
-/// verifier uses this to validate host schedules it did not produce.
-std::string describeTimeBlockScheduleViolation(const std::vector<int> &Degrees,
-                                               long long TimeSteps, int BT);
 
 } // namespace an5d
 

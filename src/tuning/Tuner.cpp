@@ -6,7 +6,6 @@
 
 #include "tuning/Tuner.h"
 
-#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "model/RegisterModel.h"
@@ -183,35 +182,20 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
       obs::TraceSpan CandidateSpan("tune.candidate");
       if (CandidateSpan.active())
         CandidateSpan.attr("config", Candidate.Config.toString());
-      // Lower once; the verifier checks this IR and the sweep candidates
-      // carry it down to the native backend, so nothing re-derives the
-      // schedule from the raw configuration.
+      // Lower once; the analysis pipeline checks this IR and the sweep
+      // candidates carry it down to the native backend, so nothing
+      // re-derives the schedule from the raw configuration.
       ScheduleIR Lowered = [&] {
         AN5D_TRACE_SPAN("tune.lower");
         return lowerSchedule(Program, Candidate.Config);
       }();
-      // Static schedule verification gates the sweep: a candidate the
-      // interval analysis cannot prove safe never reaches the compiler.
-      // rankByModel only emits feasibility-pruned configs, so a rejection
-      // here means the model and the verifier disagree — worth surfacing
-      // loudly rather than timing a kernel with a latent race.
-      ScheduleVerifyResult Verdict = [&] {
-        AN5D_TRACE_SPAN("tune.verify");
-        return verifyScheduleIR(Lowered, &Problems[P]);
-      }();
-      if (!Verdict.proven()) {
-        ++Outcomes[P].VerifierRejections;
-        obs::count("tuner.verifier_rejections");
-        if (Outcomes[P].FirstRejectionReason.empty())
-          Outcomes[P].FirstRejectionReason =
-              Candidate.Config.toString() + ": " +
-              Verdict.Violations.front().toString();
-        continue;
-      }
-      // The dataflow pass pipeline runs next to the verifier on the same
-      // IR: tape discipline, symbolic access bounds, and the resource
-      // features the sweep candidates carry. An Error finding rejects the
-      // candidate pre-JIT, exactly like a verifier refutation.
+      // The analysis pipeline gates the sweep: tape discipline, schedule
+      // legality (the access-bounds prover), and the resource features
+      // the sweep candidates carry. A candidate with an Error finding
+      // never reaches the compiler. rankByModel only emits
+      // feasibility-pruned configs, so a rejection here means the model
+      // and the prover disagree — worth surfacing loudly rather than
+      // timing a kernel with a latent race.
       AnalysisInput PassInput;
       PassInput.Program = &Program;
       PassInput.Schedule = &Lowered;

@@ -13,6 +13,10 @@
 ///     for 1D pure streaming; hSN in {off,128,256,512,1024} for 1D,
 ///     {256,512,1024} for 2D, {128,256} for 3D), drop register-infeasible
 ///     points, and rank the rest with the Section 5 performance model.
+///     Each ranked candidate is lowered to its ScheduleIR once, and the
+///     standard analysis pipeline (analysis/passes/AnalysisPass.h) is the
+///     one static gate: a candidate with an Error finding never reaches
+///     stage 2.
 ///
 ///  2. Measured sweep: "run" the top-K candidates through the
 ///     measured-performance simulator with each register cap
@@ -75,22 +79,13 @@ struct TuneOutcome {
   /// instead of re-parsing the free-form string.
   MeasureFailureKind FirstFailureKind = MeasureFailureKind::None;
 
-  /// Model-ranked candidates the schedule verifier
-  /// (analysis/ScheduleVerifier.h) statically rejected before any kernel
-  /// was compiled — distinct from model-infeasible candidates (silently
-  /// pruned in stage 1) and from MeasurementFailures (the backend tried
-  /// and failed). Non-zero means the feasibility model and the verifier
-  /// disagree; the cross-check suite keeps this at zero for every
-  /// enumerated configuration.
-  std::size_t VerifierRejections = 0;
-  std::string FirstRejectionReason; ///< Representative verifier verdict.
-
-  /// Candidates the static analysis pipeline (analysis/passes/) rejected
-  /// with an Error-severity finding after the schedule verifier had
-  /// already accepted them — tape breakage or an access-bounds
-  /// refutation the shape checks cannot see. Like VerifierRejections,
-  /// this stays at zero for every enumerated configuration; non-zero
-  /// means lowering and the dataflow passes disagree.
+  /// Model-ranked candidates the static analysis pipeline
+  /// (analysis/passes/) rejected with an Error-severity finding before any
+  /// kernel was compiled — tape breakage or an illegal schedule — distinct
+  /// from model-infeasible candidates (silently pruned in stage 1) and
+  /// from MeasurementFailures (the backend tried and failed). Non-zero
+  /// means the feasibility model and the passes disagree; the property
+  /// suite keeps this at zero for every enumerated configuration.
   std::size_t AnalysisRejections = 0;
   std::string FirstAnalysisRejection; ///< Representative finding.
 };

@@ -8,8 +8,9 @@
 ///
 ///  - framework: finding rendering (string / diagnostic / JSON), report
 ///    aggregation, pass manager wiring and its obs metrics;
-///  - soundness: every builtin stencil, at every enumerated feasible
-///    configuration, lowers to a tape and schedule the passes prove clean;
+///  - soundness: every builtin stencil, at every enumerated configuration,
+///    lowers to a tape and schedule the passes prove exactly when the
+///    feasibility model accepts the configuration;
 ///  - completeness: mutation tests corrupt exactly one fact of a known-good
 ///    tape or schedule and assert the one finding ID that must catch it,
 ///    plus fixed-seed fuzzing over random DSL programs and random tape
@@ -45,17 +46,19 @@ TapeFacts factsOf(const StencilProgram &Program) {
   return TapeFacts::of(Program.plan(), Program);
 }
 
-/// j2d5pt at bT=2 bS=64: the canonical known-good schedule the mutation
-/// tests corrupt one field at a time.
+/// A lowered builtin schedule the mutation tests corrupt one field at a
+/// time; by default j2d5pt at bT=2 bS=64, the canonical known-good one.
 struct GoodSchedule {
   std::unique_ptr<StencilProgram> Program;
   ScheduleIR IR;
 
-  explicit GoodSchedule(long long HS = 0) {
-    Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  explicit GoodSchedule(int HS = 0) : GoodSchedule("j2d5pt", 2, {64}, HS) {}
+
+  GoodSchedule(const char *Name, int BT, std::vector<int> BS, int HS = 0) {
+    Program = makeBenchmarkStencil(Name, ScalarType::Float);
     BlockConfig Config;
-    Config.BT = 2;
-    Config.BS = {64};
+    Config.BT = BT;
+    Config.BS = std::move(BS);
     Config.HS = HS;
     IR = lowerSchedule(*Program, Config);
   }
@@ -72,6 +75,14 @@ struct GoodSchedule {
     for (InvocationSchedule &Inv : IR.Invocations)
       Mutate(Inv.GridHalo, Inv.RingDepth, Inv.Radius, Inv.HaloPolicy);
   }
+
+  /// Proves a copy whose invocation \p I went through \p Mutate.
+  template <typename Fn>
+  AnalysisReport proveWith(std::size_t I, Fn &&Mutate) const {
+    ScheduleIR Copy = IR;
+    Mutate(Copy.Invocations[I]);
+    return proveAccessBounds(Copy, Program->radius());
+  }
 };
 
 std::vector<std::string> allBuiltinNames() {
@@ -79,6 +90,33 @@ std::vector<std::string> allBuiltinNames() {
   for (const std::string &Name : extraStencilNames())
     Names.push_back(Name);
   return Names;
+}
+
+/// The mutation tests' contract: one corruption, one finding ID. Passes
+/// when \p Report holds at least one finding and every finding is \p Id.
+::testing::AssertionResult onlyFinding(const AnalysisReport &Report,
+                                       const std::string &Id) {
+  if (Report.Findings.empty())
+    return ::testing::AssertionFailure() << "no finding; expected " << Id;
+  for (const AnalysisFinding &F : Report.Findings)
+    if (F.Id != Id)
+      return ::testing::AssertionFailure()
+             << "expected only " << Id << ", got:\n"
+             << Report.toString();
+  return ::testing::AssertionSuccess();
+}
+
+/// Every builtin at bT=3 (a middle tier has a producer and a consumer
+/// tier), bS 32 per blocked axis (8 compute lanes even at radius 4) and
+/// hS 64: the known-good schedules the tightness tests shave one cell off.
+std::vector<GoodSchedule> everyBuiltinAtDegreeThree() {
+  std::vector<GoodSchedule> Schedules;
+  for (const std::string &Name : allBuiltinNames()) {
+    int Dims = makeBenchmarkStencil(Name, ScalarType::Float)->numDims();
+    Schedules.emplace_back(Name.c_str(), 3, std::vector<int>(Dims - 1, 32),
+                           /*HS=*/64);
+  }
+  return Schedules;
 }
 
 } // namespace
@@ -198,6 +236,24 @@ TEST(AnalysisFramework, StandardPipelineRunsAllPassesWithMetrics) {
   EXPECT_EQ(Registry.counterValue("analysis.findings") - FindingsBefore, 0);
 }
 
+TEST(AnalysisFramework, StandardPipelineRefutesAnIllegalSchedule) {
+  // The tuner's gate reaches the prover only through the pipeline, which
+  // must hand its refutation back unproven and counted.
+  GoodSchedule S;
+  S.mutateShared([](long long &, long long &RingDepth, int &,
+                    ScheduleHaloPolicy &) { RingDepth -= 1; });
+  obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
+  long long FindingsBefore = Registry.counterValue("analysis.findings");
+  AnalysisInput Input;
+  Input.Program = S.Program.get();
+  Input.Schedule = &S.IR;
+  AnalysisReport Report = AnalysisPassManager::standardPipeline().run(Input);
+  EXPECT_TRUE(onlyFinding(Report, "AN5D-A204"));
+  EXPECT_FALSE(Report.proven());
+  EXPECT_EQ(Registry.counterValue("analysis.findings") - FindingsBefore,
+            static_cast<long long>(Report.Findings.size()));
+}
+
 TEST(AnalysisFramework, PlanDefaultsToProgramAndScheduleIsOptional) {
   auto Program = makeBenchmarkStencil("star2d2r", ScalarType::Float);
   AnalysisInput Input;
@@ -207,7 +263,7 @@ TEST(AnalysisFramework, PlanDefaultsToProgramAndScheduleIsOptional) {
 }
 
 //===----------------------------------------------------------------------===//
-// Soundness: every builtin, every enumerated feasible configuration
+// Soundness: every builtin, every enumerated configuration
 //===----------------------------------------------------------------------===//
 
 TEST(AnalysisSoundness, EveryBuiltinTapeVerifies) {
@@ -221,7 +277,13 @@ TEST(AnalysisSoundness, EveryBuiltinTapeVerifies) {
     }
 }
 
-TEST(AnalysisSoundness, EveryEnumeratedConfigProvesClean) {
+// The schedule-legality property the tuner's gate relies on: lowering is
+// total, and the standard pipeline proves the lowered IR of every
+// enumerated configuration of every builtin exactly when
+// BlockConfig::isFeasible accepts it once the thread cap (a hardware
+// limit, not a schedule property) is lifted. An infeasible configuration
+// is refuted by AN5D-A213 alone.
+TEST(AnalysisSoundness, ProvenIffFeasibleOnEveryEnumeratedConfig) {
   Tuner T(GpuSpec::teslaV100());
   const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
   std::size_t Proven = 0;
@@ -229,16 +291,25 @@ TEST(AnalysisSoundness, EveryEnumeratedConfigProvesClean) {
     auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
     ASSERT_NE(Program, nullptr) << Name;
     for (const BlockConfig &Config : T.enumerateConfigs(*Program)) {
-      if (!Config.isFeasible(Program->radius()))
-        continue;
       ScheduleIR IR = lowerSchedule(*Program, Config);
       AnalysisInput Input;
       Input.Program = Program.get();
       Input.Schedule = &IR;
       AnalysisReport Report = Passes.run(Input);
-      EXPECT_EQ(Report.errorCount(), 0u)
+      const bool Feasible = Config.isFeasible(
+          Program->radius(), std::numeric_limits<int>::max());
+      EXPECT_EQ(Report.proven(), Feasible)
           << Name << " " << Config.toString() << ": " << Report.toString();
-      ++Proven;
+      if (Feasible) {
+        ++Proven;
+        continue;
+      }
+      EXPECT_TRUE(Report.hasFinding("AN5D-A213"))
+          << Name << " " << Config.toString() << ": " << Report.toString();
+      for (const AnalysisFinding &F : Report.Findings)
+        if (F.Severity == FindingSeverity::Error)
+          EXPECT_EQ(F.Id, "AN5D-A213")
+              << Name << " " << Config.toString() << ": " << F.toString();
     }
   }
   // The grid is supposed to be dense; an accidentally empty sweep would
@@ -451,6 +522,12 @@ TEST(ScheduleMutation, BaselineIsClean) {
   EXPECT_TRUE(Report.Findings.empty()) << Report.toString();
 }
 
+TEST(ScheduleMutation, OneDStreamBaselineIsClean) {
+  // The other schedule shape: no blocked axis, hS-chunked stream.
+  GoodSchedule S("star1d1r", 3, {}, /*HS=*/8);
+  EXPECT_EQ(S.prove().toString(), "analysis clean\n");
+}
+
 TEST(ScheduleMutation, A201StreamLoadsPastAllocation) {
   GoodSchedule S;
   S.mutateShared([](long long &GridHalo, long long &, int &,
@@ -496,6 +573,27 @@ TEST(ScheduleMutation, A205ConsumerOutrunsProducer) {
   AnalysisReport Report = S.prove();
   EXPECT_TRUE(Report.hasFinding("AN5D-A205")) << Report.toString();
   EXPECT_FALSE(Report.proven());
+
+  // Same lags, but tier 1 now runs after tier 2 within a streaming step,
+  // so tier 2's same-step read of its producer's newest plane breaks.
+  GoodSchedule Swapped;
+  std::vector<TierSchedule> &Tiers = Swapped.IR.Invocations[1].Tiers;
+  std::swap(Tiers[0].OrderPosition, Tiers[1].OrderPosition);
+  EXPECT_TRUE(onlyFinding(Swapped.prove(), "AN5D-A205"));
+}
+
+TEST(ScheduleMutation, A205TierRunsAheadOfItsProducerInTheStream) {
+  // Same order, swapped lags: tier 2 reads planes tier 1 has not written
+  // (A205), and tier 1, now two radii behind the load, reads planes a
+  // whole ring depth old (A204).
+  AnalysisReport Report = GoodSchedule().proveWith(1, [](auto &Inv) {
+    std::swap(Inv.Tiers[0].StreamLag, Inv.Tiers[1].StreamLag);
+  });
+  ASSERT_EQ(Report.Findings.size(), 2u) << Report.toString();
+  EXPECT_EQ(Report.Findings[0].Id, "AN5D-A204");
+  EXPECT_EQ(Report.Findings[0].Subject, "degree 2 tier 1");
+  EXPECT_EQ(Report.Findings[1].Id, "AN5D-A205");
+  EXPECT_EQ(Report.Findings[1].Subject, "degree 2 tier 2");
 }
 
 TEST(ScheduleMutation, A206RingLaneUnderflow) {
@@ -526,13 +624,47 @@ TEST(ScheduleMutation, A208StoreWiderThanCompute) {
   EXPECT_FALSE(Report.proven());
 }
 
-TEST(ScheduleMutation, A209ChunkStrideGapIsWarn) {
+TEST(ScheduleMutation, A209ChunkStrideGapIsError) {
   GoodSchedule S(/*HS=*/128);
   ASSERT_GT(S.IR.Invocations[0].ChunkLength, 0);
   S.IR.Invocations[0].ChunkStride += 16;
   AnalysisReport Report = S.prove();
-  EXPECT_TRUE(Report.hasFinding("AN5D-A209")) << Report.toString();
-  EXPECT_TRUE(Report.proven()) << "tiling gaps are advisory, not unsound";
+  EXPECT_TRUE(onlyFinding(Report, "AN5D-A209"));
+  EXPECT_FALSE(Report.proven()) << "a tiling gap leaves cells unwritten";
+}
+
+TEST(ScheduleMutation, A209BlockStrideOverlapAndGapAreErrors) {
+  // -1: adjacent blocks store one cell twice (a race); +1: one cell
+  // between them is never stored.
+  for (long long Delta : {-1, 1}) {
+    GoodSchedule S;
+    S.IR.Invocations[1].BlockStride[0] += Delta;
+    AnalysisReport Report = S.prove();
+    EXPECT_TRUE(onlyFinding(Report, "AN5D-A209")) << "delta " << Delta;
+    EXPECT_FALSE(Report.proven()) << "delta " << Delta;
+  }
+}
+
+TEST(ScheduleMutation, A209OneDChunkStrideOverlapAndGapAreErrors) {
+  for (long long Delta : {-1, 1}) {
+    GoodSchedule S("star1d1r", 2, {}, /*HS=*/8);
+    S.IR.Invocations[1].ChunkStride += Delta;
+    AnalysisReport Report = S.prove();
+    EXPECT_TRUE(onlyFinding(Report, "AN5D-A209")) << "delta " << Delta;
+    EXPECT_FALSE(Report.proven()) << "delta " << Delta;
+  }
+}
+
+TEST(ScheduleMutation, A209ChecksEveryBlockedAxis) {
+  // A 3D block tiles two axes; an overlap on either is named by its axis.
+  GoodSchedule S("j3d27pt", 2, {32, 32});
+  for (std::size_t Axis : {0u, 1u}) {
+    AnalysisReport Report =
+        S.proveWith(1, [Axis](auto &Inv) { --Inv.BlockStride[Axis]; });
+    ASSERT_TRUE(onlyFinding(Report, "AN5D-A209")) << "axis " << Axis;
+    EXPECT_EQ(Report.Findings[0].Subject,
+              "degree 2 axis " + std::to_string(Axis));
+  }
 }
 
 TEST(ScheduleMutation, A210StructurallyMalformed) {
@@ -552,6 +684,41 @@ TEST(ScheduleMutation, A210StructurallyMalformed) {
   }
 }
 
+TEST(ScheduleMutation, A210BlockSizeArityMustMatchDimensionality) {
+  // A 2D stencil lowered without its bS entry: only the 1D stream may
+  // carry an empty bS.
+  GoodSchedule NoBlock("j2d5pt", 2, {});
+  EXPECT_TRUE(onlyFinding(NoBlock.prove(), "AN5D-A210"));
+  // A 1D stream given a blocked axis it does not have.
+  GoodSchedule ExtraBlock("star1d1r", 2, {64});
+  EXPECT_TRUE(onlyFinding(ExtraBlock.prove(), "AN5D-A210"));
+}
+
+TEST(ScheduleMutation, A210ThreeDBlockSizeArityMustMatch) {
+  // A 3D stencil blocks exactly two axes.
+  for (std::vector<int> BS : {std::vector<int>{32}, {32, 32, 32}})
+    EXPECT_TRUE(onlyFinding(GoodSchedule("star3d1r", 2, BS).prove(),
+                            "AN5D-A210"))
+        << BS.size() << " bS entries";
+}
+
+TEST(ScheduleMutation, A210ZeroDegreeLowersToNoInvocations) {
+  // Lowering is total: a bT < 1 configuration reaches the prover as a
+  // schedule with no invocation to prove.
+  for (int BT : {0, -1})
+    EXPECT_TRUE(onlyFinding(GoodSchedule("j2d5pt", BT, {64}).prove(),
+                            "AN5D-A210"))
+        << "bT " << BT;
+}
+
+TEST(ScheduleMutation, A210NonPositiveStrideIsMalformed) {
+  // A zero stride is a malformed schedule, not a tiling gap: the
+  // structural check stops the invocation before A209 compares widths.
+  EXPECT_TRUE(onlyFinding(
+      GoodSchedule().proveWith(1, [](auto &Inv) { Inv.BlockStride[0] = 0; }),
+      "AN5D-A210"));
+}
+
 TEST(ScheduleMutation, A211HaloPolicyContradictsShape) {
   GoodSchedule S;
   S.mutateShared([](long long &, long long &, int &,
@@ -561,6 +728,134 @@ TEST(ScheduleMutation, A211HaloPolicyContradictsShape) {
   AnalysisReport Report = S.prove();
   EXPECT_TRUE(Report.hasFinding("AN5D-A211")) << Report.toString();
   EXPECT_FALSE(Report.proven());
+}
+
+TEST(ScheduleMutation, A212TierReadsPastProducerOnBlockedAxis) {
+  GoodSchedule S; // degree 2: tier 1 is valid one cell past the compute
+                  // region, exactly what tier 2's radius-1 taps read.
+  S.IR.Invocations[1].Tiers[0].Reach -= 1;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(onlyFinding(Report, "AN5D-A212"));
+  EXPECT_NE(Report.toString().find("(degree 2 tier 2 axis 0)"),
+            std::string::npos)
+      << Report.toString();
+}
+
+TEST(ScheduleMutation, A212TierReadsPastProducerOnStreamAxis) {
+  GoodSchedule S("star3d1r", 3, {32, 32});
+  S.IR.Invocations[2].Tiers[0].Reach -= 1;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(onlyFinding(Report, "AN5D-A212"));
+  EXPECT_NE(Report.toString().find("(degree 3 tier 2 stream axis)"),
+            std::string::npos)
+      << Report.toString();
+}
+
+TEST(ScheduleMutation, A212TierOneReadsPastLoadedPlanes) {
+  GoodSchedule S;
+  S.IR.Invocations[1].LoadStreamReach -= 1;
+  AnalysisReport Report = S.prove();
+  EXPECT_TRUE(onlyFinding(Report, "AN5D-A212"));
+  EXPECT_NE(Report.toString().find("(degree 2 tier 1 stream axis)"),
+            std::string::npos)
+      << Report.toString();
+}
+
+TEST(ScheduleMutation, A213HaloConsumesTheBlock) {
+  // bS 8 at radius 1: degree 4 needs 8 halo lanes and leaves no compute
+  // region; degree 3 still computes 2 lanes, so only degree 4 is flagged.
+  GoodSchedule S("j2d5pt", 4, {8});
+  AnalysisReport Report = S.prove();
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings[0].Id, "AN5D-A213");
+  EXPECT_EQ(Report.Findings[0].Subject, "degree 4 axis 0");
+  EXPECT_FALSE(Report.proven());
+}
+
+TEST(ScheduleMutation, A213SparesASingleComputeLane) {
+  // The boundary of bS >= 2*degree*radius + 1: one compute lane proves
+  // clean, and one lane fewer is refuted at that degree only.
+  EXPECT_EQ(GoodSchedule("star2d2r", 2, {9}).prove().toString(),
+            "analysis clean\n");
+  EXPECT_EQ(GoodSchedule("star3d1r", 3, {7, 7}).prove().toString(),
+            "analysis clean\n");
+  AnalysisReport Report = GoodSchedule("star2d2r", 2, {8}).prove();
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings[0].Id, "AN5D-A213");
+  EXPECT_EQ(Report.Findings[0].Subject, "degree 2 axis 0");
+}
+
+TEST(ScheduleMutation, A213NamesOnlyTheExhaustedAxis) {
+  // star3d1r bT=4 bS=64x8: at degree 4 axis 1 has no compute lane
+  // (8 - 2*4*1 = 0) while axis 0 keeps 56; degree 3 keeps lanes on both.
+  AnalysisReport Report = GoodSchedule("star3d1r", 4, {64, 8}).prove();
+  ASSERT_EQ(Report.Findings.size(), 1u) << Report.toString();
+  EXPECT_EQ(Report.Findings[0].Id, "AN5D-A213");
+  EXPECT_EQ(Report.Findings[0].Subject, "degree 4 axis 1");
+}
+
+//===----------------------------------------------------------------------===//
+// Tightness: the lowered schedules carry no slack the prover would miss
+//===----------------------------------------------------------------------===//
+
+// Every non-final tier computes exactly the cells its consumer reads, and
+// the load stage exactly what tier 1 reads on the stream axis: one cell
+// less anywhere in the reach chain is refuted by AN5D-A212 alone.
+TEST(ScheduleMutation, A212ReachChainIsTightOnEveryBuiltin) {
+  for (const GoodSchedule &S : everyBuiltinAtDegreeThree()) {
+    ASSERT_EQ(S.prove().toString(), "analysis clean\n") << S.IR.StencilName;
+    for (std::size_t I = 0; I < S.IR.Invocations.size(); ++I) {
+      EXPECT_TRUE(onlyFinding(
+          S.proveWith(I, [](auto &Inv) { --Inv.LoadStreamReach; }),
+          "AN5D-A212"))
+          << S.IR.StencilName << " degree " << I + 1 << " load stage";
+      for (std::size_t T = 0; T + 1 < S.IR.Invocations[I].Tiers.size(); ++T)
+        EXPECT_TRUE(onlyFinding(
+            S.proveWith(I, [T](auto &Inv) { --Inv.Tiers[T].Reach; }),
+            "AN5D-A212"))
+            << S.IR.StencilName << " degree " << I + 1 << " tier " << T + 1;
+    }
+  }
+}
+
+// Each tier trails its producer by exactly one radius of planes: moving
+// it and every later tier one plane earlier (so only that one distance
+// shrinks) is refuted by AN5D-A205 alone.
+TEST(ScheduleMutation, A205StreamLagIsTightOnEveryBuiltin) {
+  for (const GoodSchedule &S : everyBuiltinAtDegreeThree())
+    for (std::size_t I = 0; I < S.IR.Invocations.size(); ++I)
+      for (std::size_t T = 0; T < S.IR.Invocations[I].Tiers.size(); ++T) {
+        auto Earlier = [T](InvocationSchedule &Inv) {
+          for (std::size_t L = T; L < Inv.Tiers.size(); ++L)
+            --Inv.Tiers[L].StreamLag;
+        };
+        EXPECT_TRUE(onlyFinding(S.proveWith(I, Earlier), "AN5D-A205"))
+            << S.IR.StencilName << " degree " << I + 1 << " tier " << T + 1;
+      }
+}
+
+// The 2*radius+1 register ring is the shallowest that holds a sub-plane
+// from production to its last read: one plane less is refuted by
+// AN5D-A204 alone.
+TEST(ScheduleMutation, A204RingDepthIsTightOnEveryBuiltin) {
+  for (GoodSchedule &S : everyBuiltinAtDegreeThree()) {
+    S.mutateShared([](long long &, long long &RingDepth, int &,
+                      ScheduleHaloPolicy &) { RingDepth -= 1; });
+    EXPECT_TRUE(onlyFinding(S.prove(), "AN5D-A204")) << S.IR.StencilName;
+  }
+}
+
+// The load span's halo is exactly what tier 1 reads left of the compute
+// region on a blocked axis: one lane less is refuted by AN5D-A206 alone.
+TEST(ScheduleMutation, A206LoadSpanHaloIsTightOnEveryBlockedBuiltin) {
+  for (const GoodSchedule &S : everyBuiltinAtDegreeThree()) {
+    if (S.IR.NumDims == 1)
+      continue; // the 1D stream loads no span
+    for (std::size_t I = 0; I < S.IR.Invocations.size(); ++I)
+      EXPECT_TRUE(onlyFinding(
+          S.proveWith(I, [](auto &Inv) { --Inv.LoadSpanHalo; }), "AN5D-A206"))
+          << S.IR.StencilName << " degree " << I + 1;
+  }
 }
 
 TEST(SymBoundProof, AffineComparisonNeedsBothTerms) {
@@ -691,7 +986,19 @@ TEST(AnalysisTunerGate, EnumeratedCandidatesAreNeverRejected) {
   EXPECT_TRUE(Outcome.Feasible);
   EXPECT_EQ(Outcome.AnalysisRejections, 0u) << Outcome.FirstAnalysisRejection;
   EXPECT_TRUE(Outcome.FirstAnalysisRejection.empty());
-  EXPECT_EQ(Outcome.VerifierRejections, 0u);
+}
+
+TEST(AnalysisTunerGate, EveryBuiltinTunesWithoutARejection) {
+  // The gate passes every candidate the model ranks, for 1D streams, 3D
+  // blocks and high radii alike.
+  Tuner T(GpuSpec::teslaV100());
+  for (const std::string &Name : allBuiltinNames()) {
+    auto P = makeBenchmarkStencil(Name, ScalarType::Float);
+    TuneOutcome Outcome = T.tune(*P, ProblemSize::paperDefault(P->numDims()));
+    EXPECT_TRUE(Outcome.Feasible) << Name;
+    EXPECT_EQ(Outcome.AnalysisRejections, 0u)
+        << Name << ": " << Outcome.FirstAnalysisRejection;
+  }
 }
 
 TEST(AnalysisTunerGate, SweepCandidatesCarryResourceFeatures) {

@@ -1,17 +1,12 @@
-//===- AnalysisTest.cpp - Schedule verifier and kernel lint tests -------------===//
+//===- AnalysisTest.cpp - Kernel lint and kernel cache tests ------------------===//
 //
 // Part of the AN5D reproduction project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The static-analysis layer end to end:
+/// The kernel-facing half of the static-analysis layer (schedule legality
+/// lives in AnalysisPassTest.cpp, next to the pass that proves it):
 ///
-///  * the schedule verifier proves every feasible enumerated configuration
-///    of every built-in stencil safe and agrees with
-///    BlockConfig::isFeasible (modulo thread caps, which are a hardware
-///    resource, not a schedule property);
-///  * mutation tests corrupt one ScheduleModel invariant at a time and
-///    assert the verifier reports exactly the matching violation kind;
 ///  * the kernel linter passes every generated and golden translation
 ///    unit, and each lint rule fires on a TU corrupted against it;
 ///  * the kernel cache's LRU size cap evicts least-recently-used
@@ -20,20 +15,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/KernelLint.h"
-#include "analysis/ScheduleVerifier.h"
 #include "codegen/CppCodegen.h"
 #include "codegen/CudaCodegen.h"
 #include "runtime/KernelCache.h"
 #include "runtime/NativeCompiler.h"
-#include "sim/TimeBlockScheduler.h"
 #include "stencils/Benchmarks.h"
-#include "tuning/Tuner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -49,12 +40,6 @@ std::vector<std::string> allBuiltinStencils() {
   for (const std::string &Extra : extraStencilNames())
     Names.push_back(Extra);
   return Names;
-}
-
-bool hasKind(const std::vector<ScheduleViolation> &Violations,
-             ScheduleViolationKind Kind) {
-  return std::any_of(Violations.begin(), Violations.end(),
-                     [&](const ScheduleViolation &V) { return V.Kind == Kind; });
 }
 
 bool hasRule(const LintReport &Report, LintRule Rule) {
@@ -77,290 +62,7 @@ std::string readGolden(const std::string &FileName) {
   return Buffer.str();
 }
 
-/// A known-good 2D model to mutate: j2d5pt (radius 1) at bT=2.
-ScheduleModel referenceModel2d(int Degree = 2) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig C;
-  C.BT = 2;
-  C.BS = {32};
-  C.HS = 8;
-  return buildScheduleModel(*P, C, Degree);
-}
-
-/// A known-good 1D pure-streaming model (empty bS).
-ScheduleModel referenceModel1d(int Degree = 2) {
-  auto P = makeStarStencil(1, 1, ScalarType::Float);
-  BlockConfig C;
-  C.BT = 2;
-  C.BS.clear();
-  C.HS = 8;
-  return buildScheduleModel(*P, C, Degree);
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Schedule verifier: agreement with the feasibility model
-//===----------------------------------------------------------------------===//
-
-// The cross-check the tuner's VerifierRejections counter relies on: for
-// every built-in stencil and every enumerated configuration, the interval
-// analysis and BlockConfig::isFeasible reach the same verdict once the
-// thread cap (out of the verifier's scope) is lifted.
-TEST(ScheduleVerifier, AgreesWithFeasibilityOnEveryEnumeratedConfig) {
-  Tuner T(GpuSpec::teslaV100());
-  for (const std::string &Name : allBuiltinStencils()) {
-    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
-    ASSERT_NE(Program, nullptr) << Name;
-    for (const BlockConfig &Config : T.enumerateConfigs(*Program)) {
-      ASSERT_TRUE(Config.matchesDimensionality(Program->numDims()))
-          << Name << " " << Config.toString();
-      const bool Feasible = Config.isFeasible(Program->radius(), INT_MAX);
-      ScheduleVerifyResult Verdict = verifySchedule(*Program, Config);
-      EXPECT_EQ(Verdict.proven(), Feasible)
-          << Name << " " << Config.toString() << ": "
-          << Verdict.toString();
-      EXPECT_EQ(Verdict.DegreesChecked, Config.BT)
-          << Name << " " << Config.toString();
-      if (!Feasible)
-        EXPECT_TRUE(hasKind(Verdict.Violations,
-                            ScheduleViolationKind::BlockTooSmall))
-            << Name << " " << Config.toString() << ": "
-            << Verdict.toString();
-    }
-  }
-}
-
-TEST(ScheduleVerifier, ProvenConfigsIncludeHostScheduleCheck) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig C;
-  C.BT = 4;
-  C.BS = {128};
-  C.HS = 256;
-  ProblemSize Problem;
-  Problem.Extents = {512, 512};
-  Problem.TimeSteps = 1000;
-  ScheduleVerifyResult Verdict = verifySchedule(*P, C, &Problem);
-  EXPECT_TRUE(Verdict.proven()) << Verdict.toString();
-  EXPECT_EQ(Verdict.DegreesChecked, 4);
-  EXPECT_NE(Verdict.toString().find("proven safe"), std::string::npos);
-}
-
-TEST(ScheduleVerifier, RejectsNonPositiveTemporalDegree) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig C;
-  C.BT = 0;
-  C.BS = {64};
-  ScheduleVerifyResult Verdict = verifySchedule(*P, C);
-  ASSERT_FALSE(Verdict.proven());
-  EXPECT_TRUE(hasKind(Verdict.Violations,
-                      ScheduleViolationKind::TimeScheduleInvariant));
-}
-
-TEST(ScheduleVerifier, RejectsArityMismatch) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig C;
-  C.BT = 2;
-  C.BS.clear(); // 2D stencil needs one blocked dimension.
-  C.HS = 128;
-  ScheduleVerifyResult Verdict = verifySchedule(*P, C);
-  ASSERT_FALSE(Verdict.proven());
-  EXPECT_TRUE(hasKind(Verdict.Violations, ScheduleViolationKind::ConfigArity));
-}
-
-TEST(ScheduleVerifier, RejectsHaloConsumingBlock) {
-  auto P = makeJacobi2d5pt(ScalarType::Float); // radius 1
-  BlockConfig C;
-  C.BT = 4;
-  C.BS = {8}; // 8 - 2*4*1 = 0: no compute region at full degree.
-  C.HS = 128;
-  EXPECT_FALSE(C.isFeasible(P->radius(), INT_MAX));
-  ScheduleVerifyResult Verdict = verifySchedule(*P, C);
-  ASSERT_FALSE(Verdict.proven());
-  EXPECT_TRUE(hasKind(Verdict.Violations,
-                      ScheduleViolationKind::BlockTooSmall));
-  // Only the degrees whose halo overflows the block are flagged: degree 4
-  // needs 8 halo lanes, degree 3 needs 6 (leaving width 2). The partial
-  // degrees stay safe, and each violation names the offending degree.
-  for (const ScheduleViolation &V : Verdict.Violations)
-    EXPECT_EQ(V.Degree, 4) << V.toString();
-}
-
-//===----------------------------------------------------------------------===//
-// Schedule verifier: mutation tests (one corrupted invariant, one kind)
-//===----------------------------------------------------------------------===//
-
-TEST(ScheduleVerifierMutation, ReferenceModelsAreProven) {
-  EXPECT_TRUE(verifyScheduleModel(referenceModel2d(1)).empty());
-  EXPECT_TRUE(verifyScheduleModel(referenceModel2d(2)).empty());
-  EXPECT_TRUE(verifyScheduleModel(referenceModel1d(1)).empty());
-  EXPECT_TRUE(verifyScheduleModel(referenceModel1d(2)).empty());
-}
-
-TEST(ScheduleVerifierMutation, ShallowRingIsClobbered) {
-  ScheduleModel M = referenceModel2d();
-  --M.RingDepth; // 2*rad + 1 -> 2*rad: the consumer's oldest plane is hit.
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Violations.empty());
-  EXPECT_TRUE(hasKind(Violations, ScheduleViolationKind::RingClobber));
-  EXPECT_FALSE(hasKind(Violations, ScheduleViolationKind::HaloViolation));
-}
-
-TEST(ScheduleVerifierMutation, ShrunkTierReachViolatesHalo) {
-  ScheduleModel M = referenceModel2d(); // degree 2: tier 1 reach = rad.
-  --M.Tiers[0].Reach; // Tier 2's taps now escape tier 1's valid region.
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Violations.empty());
-  EXPECT_TRUE(hasKind(Violations, ScheduleViolationKind::HaloViolation));
-}
-
-TEST(ScheduleVerifierMutation, ShrunkLoadSpanViolatesHalo) {
-  ScheduleModel M = referenceModel2d();
-  --M.LoadSpanHalo; // Tier 1's leftmost tap now reads an unloaded lane.
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Violations.empty());
-  EXPECT_TRUE(hasKind(Violations, ScheduleViolationKind::HaloViolation));
-  // The violation names the blocked axis and the offending tap offset.
-  EXPECT_EQ(Violations.front().Axis, 1);
-  EXPECT_EQ(Violations.front().Offset, -1);
-}
-
-TEST(ScheduleVerifierMutation, ShrunkGridHaloViolatesHalo) {
-  ScheduleModel M = referenceModel2d();
-  --M.GridHalo; // radius-1 halo cannot hold radius-1 taps.
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Violations.empty());
-  for (const ScheduleViolation &V : Violations)
-    EXPECT_EQ(V.Kind, ScheduleViolationKind::HaloViolation) << V.toString();
-}
-
-TEST(ScheduleVerifierMutation, SwappedWaveOrderIsCaught) {
-  ScheduleModel M = referenceModel2d(); // degree 2
-  // Tier 1 now runs *after* tier 2 within a streaming step, so tier 2's
-  // same-step read of its producer's newest plane breaks.
-  std::swap(M.Tiers[0].OrderPosition, M.Tiers[1].OrderPosition);
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Violations.empty());
-  EXPECT_TRUE(hasKind(Violations,
-                      ScheduleViolationKind::WaveOrderViolation));
-}
-
-TEST(ScheduleVerifierMutation, SwappedStreamLagsAreCaught) {
-  ScheduleModel M = referenceModel2d(); // degree 2
-  // Tier 2 now runs *ahead* of tier 1 in the stream: it reads planes its
-  // producer has not written.
-  std::swap(M.Tiers[0].StreamLag, M.Tiers[1].StreamLag);
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Violations.empty());
-  EXPECT_TRUE(hasKind(Violations,
-                      ScheduleViolationKind::WaveOrderViolation));
-}
-
-TEST(ScheduleVerifierMutation, OverlappingBlocksAreARace) {
-  ScheduleModel M = referenceModel2d();
-  --M.BlockStride[0]; // Adjacent blocks now share one written lane.
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_EQ(Violations.size(), 1u);
-  EXPECT_EQ(Violations.front().Kind, ScheduleViolationKind::RaceOverlap);
-  EXPECT_EQ(Violations.front().Axis, 1);
-  EXPECT_EQ(Violations.front().Offset, 1); // one overlapping cell
-}
-
-TEST(ScheduleVerifierMutation, StretchedBlockStrideLeavesAGap) {
-  ScheduleModel M = referenceModel2d();
-  ++M.BlockStride[0];
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_EQ(Violations.size(), 1u);
-  EXPECT_EQ(Violations.front().Kind, ScheduleViolationKind::CoverageGap);
-}
-
-TEST(ScheduleVerifierMutation, WidenedStoreIsARace) {
-  ScheduleModel M = referenceModel2d();
-  ++M.StoreWidth[0]; // Stores one lane into the neighbor's region...
-  auto Violations = verifyScheduleModel(M);
-  EXPECT_TRUE(hasKind(Violations, ScheduleViolationKind::RaceOverlap));
-  // ...which is also a lane the final tier never computed.
-  EXPECT_TRUE(hasKind(Violations, ScheduleViolationKind::HaloViolation));
-}
-
-TEST(ScheduleVerifierMutation, OverlappingChunksAreARace) {
-  ScheduleModel M = referenceModel1d();
-  --M.ChunkStride;
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_EQ(Violations.size(), 1u);
-  EXPECT_EQ(Violations.front().Kind, ScheduleViolationKind::RaceOverlap);
-  EXPECT_EQ(Violations.front().Axis, 0); // the streaming axis
-}
-
-TEST(ScheduleVerifierMutation, StretchedChunkStrideLeavesAGap) {
-  ScheduleModel M = referenceModel1d();
-  ++M.ChunkStride;
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_EQ(Violations.size(), 1u);
-  EXPECT_EQ(Violations.front().Kind, ScheduleViolationKind::CoverageGap);
-}
-
-TEST(ScheduleVerifierMutation, MissingTierIsATimeScheduleInvariant) {
-  ScheduleModel M = referenceModel2d(); // degree 2, two tiers
-  M.Tiers.pop_back();
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_EQ(Violations.size(), 1u);
-  EXPECT_EQ(Violations.front().Kind,
-            ScheduleViolationKind::TimeScheduleInvariant);
-}
-
-TEST(ScheduleVerifierMutation, ExtraBlockedAxisIsAnArityViolation) {
-  ScheduleModel M = referenceModel1d();
-  M.BS.push_back(10); // A 1D stream has no blocked axes.
-  auto Violations = verifyScheduleModel(M);
-  ASSERT_EQ(Violations.size(), 1u);
-  EXPECT_EQ(Violations.front().Kind, ScheduleViolationKind::ConfigArity);
-}
-
-TEST(ScheduleVerifierMutation, ViolationRendersAsDiagnostic) {
-  ScheduleModel M = referenceModel2d();
-  --M.RingDepth;
-  ScheduleVerifyResult Result;
-  Result.Violations = verifyScheduleModel(M);
-  ASSERT_FALSE(Result.proven());
-  DiagnosticEngine Diags;
-  Result.render(Diags);
-  EXPECT_TRUE(Diags.hasErrors());
-  EXPECT_EQ(Diags.errorCount(), Result.Violations.size());
-  EXPECT_NE(Diags.toString().find("ring-clobber"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// Host time-block schedule invariants
-//===----------------------------------------------------------------------===//
-
-TEST(TimeBlockInvariants, GeneratedSchedulesPass) {
-  for (int BT = 1; BT <= 8; ++BT)
-    for (long long Steps = 1; Steps <= 40; ++Steps)
-      EXPECT_EQ(describeTimeBlockScheduleViolation(
-                    scheduleTimeBlocks(Steps, BT), Steps, BT),
-                "")
-          << "BT=" << BT << " steps=" << Steps;
-}
-
-TEST(TimeBlockInvariants, DegreeOutOfBoundsIsNamed) {
-  std::string Broken = describeTimeBlockScheduleViolation({5}, 5, 4);
-  EXPECT_NE(Broken.find("degree 5"), std::string::npos);
-  EXPECT_NE(describeTimeBlockScheduleViolation({0, 5}, 5, 4), "");
-}
-
-TEST(TimeBlockInvariants, StepSumMismatchIsNamed) {
-  std::string Broken = describeTimeBlockScheduleViolation({2, 1}, 5, 2);
-  EXPECT_NE(Broken.find("3"), std::string::npos);
-  EXPECT_NE(Broken.find("5"), std::string::npos);
-}
-
-TEST(TimeBlockInvariants, CallCountParityMismatchIsNamed) {
-  // Two calls of degree 2 cover 4 steps but 5 are required; 2+3 covers 5
-  // with even calls for an odd step count: parity broken.
-  std::string Broken = describeTimeBlockScheduleViolation({2, 3}, 5, 3);
-  EXPECT_NE(Broken.find("parity"), std::string::npos);
-}
 
 //===----------------------------------------------------------------------===//
 // Kernel lint: every generated and golden TU is clean
@@ -820,19 +522,6 @@ TEST(LintStripper, CrLfContinuationAlsoSplices) {
   const LintFinding *F = findRule(Report, LintRule::FloatLiteralPolicy);
   ASSERT_NE(F, nullptr);
   EXPECT_EQ(F->Subject, "5.5");
-}
-
-//===----------------------------------------------------------------------===//
-// Tuner integration: the verifier never rejects what the model accepts
-//===----------------------------------------------------------------------===//
-
-TEST(VerifierTunerIntegration, SimulatedTuneHasNoVerifierRejections) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  Tuner T(GpuSpec::teslaV100());
-  TuneOutcome Outcome =
-      T.tune(*P, ProblemSize::paperDefault(P->numDims()));
-  ASSERT_TRUE(Outcome.Feasible);
-  EXPECT_EQ(Outcome.VerifierRejections, 0u) << Outcome.FirstRejectionReason;
 }
 
 //===----------------------------------------------------------------------===//

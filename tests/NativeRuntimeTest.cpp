@@ -824,7 +824,6 @@ TEST(NativeMeasurement, ColdTuneCompilesOncePerBlockSize) {
     ASSERT_TRUE(Outcome.Feasible);
     ASSERT_EQ(Outcome.TopByModel.size(), Options.TopK);
     EXPECT_EQ(Outcome.MeasurementFailures, 0u);
-    EXPECT_EQ(Outcome.VerifierRejections, 0u);
     EXPECT_EQ(Outcome.AnalysisRejections, 0u);
     std::set<std::vector<int>> Shapes;
     for (const RankedConfig &Candidate : Outcome.TopByModel)
@@ -860,6 +859,30 @@ TEST(NativeMeasurement, SweepRecordsPerCandidateFailureReasons) {
               std::string::npos)
         << Result.FailureReason;
   }
+}
+
+TEST(NativeMeasurement, InfeasibleCandidateFailsBeforeAnyCompile) {
+  // The sweep has no static check of its own: a configuration whose halo
+  // eats the block fails through the build path before the compiler runs,
+  // and its feasible neighbour is still measured.
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  std::vector<SweepCandidate> Candidates(2);
+  Candidates[0].Config = testConfig(*Program);
+  Candidates[1].Config.BT = 8;
+  Candidates[1].Config.BS = {16}; // compute width 16 - 2*8*1 = 0
+  ProblemSize Problem{{64, 64}, 4};
+  std::string Dir = freshCacheDir("infeasible");
+  KernelCache Cache(Dir);
+  NativeMeasureOptions Options;
+  Options.Runtime = fastBuildOptions(Dir);
+  std::vector<MeasuredResult> Results =
+      nativeMeasuredSweep(*Program, Candidates, {Problem}, Options, &Cache);
+  ASSERT_EQ(Results.size(), 2u);
+  EXPECT_TRUE(Results[0].Feasible) << Results[0].FailureReason;
+  EXPECT_EQ(Results[1].FailureKind, MeasureFailureKind::BuildFailed);
+  EXPECT_NE(Results[1].FailureReason.find("infeasible"), std::string::npos)
+      << Results[1].FailureReason;
+  EXPECT_EQ(Cache.stats().Misses, 1u) << "only the feasible kernel compiles";
 }
 
 TEST(NativeMeasurement, TunerCountsCompileFailures) {

@@ -11,6 +11,8 @@
 ///    fan-out, byte-deterministic output with an injected clock;
 ///  * the Chrome trace-event export parses back as valid JSON with the
 ///    shape Perfetto expects;
+///  * a traced native tune lowers and analyzes each candidate exactly
+///    once and records only the spans README "Observability" documents;
 ///  * MetricsRegistry counters/gauges/histograms, the JSON export, and
 ///    the glossary (every name a scripted tune registers is known);
 ///  * metrics exactness against a scripted native tune: a cold cache
@@ -44,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -355,8 +358,6 @@ TEST(MetricsTest, JsonExportIncludesSpanAggregatesWhenAsked) {
 
 TEST(MetricsTest, FailureKindRenderersMatchTheGlossary) {
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::None), "");
-  EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::VerifierRejected),
-               "verifier_rejected");
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::BuildFailed),
                "build_failed");
   EXPECT_STREQ(measureFailureKindLabel(MeasureFailureKind::NeverBuilt),
@@ -368,8 +369,8 @@ TEST(MetricsTest, FailureKindRenderersMatchTheGlossary) {
   const std::vector<std::string> &Known = obs::knownMetricNames();
   EXPECT_TRUE(std::is_sorted(Known.begin(), Known.end()));
   for (MeasureFailureKind Kind :
-       {MeasureFailureKind::VerifierRejected, MeasureFailureKind::BuildFailed,
-        MeasureFailureKind::NeverBuilt, MeasureFailureKind::RunRejected})
+       {MeasureFailureKind::BuildFailed, MeasureFailureKind::NeverBuilt,
+        MeasureFailureKind::RunRejected})
     EXPECT_NE(std::find(Known.begin(), Known.end(),
                         measureFailureMetricName(Kind)),
               Known.end())
@@ -392,8 +393,8 @@ TuneOptions nativeTuneOptions(const std::string &CacheDir) {
 long long sumOfFailureCounters(const obs::MetricsRegistry &Registry) {
   long long Sum = 0;
   for (MeasureFailureKind Kind :
-       {MeasureFailureKind::VerifierRejected, MeasureFailureKind::BuildFailed,
-        MeasureFailureKind::NeverBuilt, MeasureFailureKind::RunRejected})
+       {MeasureFailureKind::BuildFailed, MeasureFailureKind::NeverBuilt,
+        MeasureFailureKind::RunRejected})
     Sum += Registry.counterValue(measureFailureMetricName(Kind));
   return Sum;
 }
@@ -427,8 +428,8 @@ TEST(MetricsTuneTest, ColdThenWarmCacheCountsExactly) {
   EXPECT_EQ(Registry.counterValue("sweep.candidates"), 2);
   EXPECT_EQ(Registry.counterValue("measure.warmups"), 2);
   EXPECT_EQ(Registry.counterValue("measure.repeats"), 2);
-  EXPECT_EQ(Registry.counterValue("tuner.verifier_rejections"),
-            static_cast<long long>(Cold.VerifierRejections));
+  EXPECT_EQ(Registry.counterValue("tuner.analysis_rejections"),
+            static_cast<long long>(Cold.AnalysisRejections));
   EXPECT_EQ(sumOfFailureCounters(Registry),
             static_cast<long long>(Cold.MeasurementFailures));
 
@@ -450,6 +451,38 @@ TEST(MetricsTuneTest, ColdThenWarmCacheCountsExactly) {
   for (const std::string &Name : Registry.registeredNames())
     EXPECT_NE(std::find(Known.begin(), Known.end(), Name), Known.end())
         << "unknown metric registered: " << Name;
+}
+
+//===----------------------------------------------------------------------===//
+// The traced span tree of a native tune
+//===----------------------------------------------------------------------===//
+
+TEST(TracedTuneTest, EveryCandidateIsLoweredAndAnalyzedOnce) {
+  // One static gate per candidate; the sweep adds no static stage.
+  std::unique_ptr<StencilProgram> Program =
+      makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  TuneOptions Options = nativeTuneOptions(sharedCacheDir());
+  ProblemSize Problem = nativeMeasurementProblem(2);
+  Problem.Extents = {96, 96};
+  Problem.TimeSteps = 4;
+  TracingOn Guard;
+  TuneOutcome Outcome =
+      Tuner(GpuSpec::teslaV100()).tune(*Program, Problem, Options);
+  ASSERT_TRUE(Outcome.Feasible) << Outcome.FirstFailureReason;
+
+  std::map<std::string, obs::SpanAggregate> Spans =
+      obs::TraceRecorder::global().aggregate();
+  for (const char *Name :
+       {"tune.candidate", "tune.lower", "tune.analyze", "measure.candidate"})
+    EXPECT_EQ(Spans[Name].Count, Options.TopK) << Name;
+  // Only the span tree README "Observability" documents.
+  const std::set<std::string> Documented = {
+      "analysis.pass", "cache.compile", "cache.get_or_build",
+      "measure.candidate", "measure.repeat", "measure.warmup", "native.block",
+      "native.run", "sweep.compile", "tune", "tune.analyze", "tune.candidate",
+      "tune.lower", "tune.rank", "tune.sweep"};
+  for (const auto &[Name, Aggregate] : Spans)
+    EXPECT_EQ(Documented.count(Name), 1u) << "undocumented span: " << Name;
 }
 
 //===----------------------------------------------------------------------===//

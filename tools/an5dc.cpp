@@ -37,17 +37,15 @@
 ///                        and to --run-native
 ///   --print-stencil      show the detected stencil and classification
 ///   --print-model        show the roofline breakdown for the configuration
-///   --verify-schedule    statically prove the configuration's schedule
-///                        safe (halo coverage, ring depth, wavefront
-///                        order, OpenMP write-set disjointness) without
-///                        compiling anything; non-zero exit on violation
 ///   --lint               lint the generated kernel-library and
 ///                        check-program sources (ABI symbols, exact-float
 ///                        literals, banned calls, restrict qualifiers)
 ///                        and lint every JIT kernel before compiling it
 ///   --analyze FILE       run the static analysis passes (tape verifier,
-///                        access-bounds prover, resource estimator) over
-///                        the configuration's lowered schedule and write
+///                        access-bounds prover — the schedule-legality
+///                        proof over every degree — and resource
+///                        estimator) over the configuration's lowered
+///                        schedule without compiling anything and write
 ///                        the an5d-analysis-v1 JSON report (findings +
 ///                        resource estimates) to FILE ('-' = stdout);
 ///                        non-zero exit on Error-severity findings
@@ -74,7 +72,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/KernelLint.h"
-#include "analysis/ScheduleVerifier.h"
 #include "analysis/passes/AnalysisPass.h"
 #include "analysis/passes/ResourceEstimator.h"
 #include "codegen/CppCodegen.h"
@@ -132,7 +129,6 @@ struct CliOptions {
   bool DivToMul = false;
   bool Verify = false;
   bool VerifyNative = false;
-  bool VerifySchedule = false;
   bool Lint = false;
   std::string AnalyzePath; ///< --analyze; empty = off, "-" = stdout
   bool RunNative = false;
@@ -158,7 +154,7 @@ void printUsage() {
       "  --tune-threads N --tune-topk N --measure simulated|native\n"
       "  --measure-threads N --measure-repeats N\n"
       "  --print-stencil --print-model --report --verify\n"
-      "  --verify-native --verify-schedule --lint --analyze FILE\n"
+      "  --verify-native --lint --analyze FILE\n"
       "  --run-native --kernel-cache DIR\n"
       "  --trace FILE --metrics FILE --obs-summary\n"
       "  --simplify --div-to-mul\n"
@@ -321,8 +317,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       Options.ObsSummary = true;
     } else if (Arg == "--verify-native") {
       Options.VerifyNative = true;
-    } else if (Arg == "--verify-schedule") {
-      Options.VerifySchedule = true;
     } else if (Arg == "--lint") {
       Options.Lint = true;
       Options.NativeOpts.LintKernels = true;
@@ -756,24 +750,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "an5dc: configuration %s is infeasible for radius %d\n",
                    Config.toString().c_str(), Program->radius());
-      return 1;
-    }
-  }
-
-  if (Options.VerifySchedule) {
-    // Static proof over every temporal degree the host schedule can
-    // issue, plus the Section 4.3.1 host-schedule postconditions for the
-    // problem's step count. Nothing is compiled or executed.
-    ScheduleVerifyResult Verdict = verifySchedule(*Program, Config,
-                                                  &Problem);
-    if (Verdict.proven()) {
-      std::printf("verify-schedule (%s): proven safe (%d degree(s): halo "
-                  "coverage, ring depth, wave order, write-set "
-                  "disjointness)\n",
-                  Config.toString().c_str(), Verdict.DegreesChecked);
-    } else {
-      std::fprintf(stderr, "an5dc: schedule verification failed for %s:\n%s",
-                   Config.toString().c_str(), Verdict.toString().c_str());
       return 1;
     }
   }
