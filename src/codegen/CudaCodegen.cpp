@@ -7,6 +7,7 @@
 #include "codegen/CudaCodegen.h"
 
 #include "codegen/ExprEmitter.h"
+#include "model/GpuSpec.h"
 #include "support/StringUtils.h"
 
 #include <cassert>
@@ -601,8 +602,9 @@ GeneratedCuda generateCuda(const StencilProgram &Program,
                            const CodegenOptions &Options) {
   assert(Schedule.NumDims == Program.numDims() &&
          "schedule was lowered from a different program");
-  assert(Schedule.Config.isFeasible(Schedule.Radius) &&
-         "codegen requires a feasible configuration");
+  assert(Schedule.Config.isFeasible(Schedule.Radius,
+                                    GpuSpec().MaxThreadsPerBlock) &&
+         "CUDA codegen requires a feasible, launchable configuration");
   assert(!Schedule.Invocations.empty() &&
          "codegen requires a schedule with bT >= 1");
   CudaEmitter Emitter(Program, Schedule, Options);

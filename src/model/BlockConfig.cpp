@@ -54,18 +54,20 @@ long long BlockConfig::computeWidth(int BlockedDim, int Radius) const {
          2LL * static_cast<long long>(BT) * Radius;
 }
 
-bool BlockConfig::isFeasible(int Radius, int MaxThreadsPerBlock) const {
+bool BlockConfig::isFeasible(int Radius) const {
   if (BT < 1)
     return false;
   // An empty BS is the 1D pure-streaming configuration: no blocked
   // dimensions, one lane per block, parallelism from the hS division of
   // the streaming dimension. Every per-dimension check below is vacuous.
-  if (numThreads() > MaxThreadsPerBlock)
-    return false;
   for (std::size_t D = 0; D < BS.size(); ++D)
     if (computeWidth(static_cast<int>(D), Radius) < 1)
       return false;
   return true;
+}
+
+bool BlockConfig::isFeasible(int Radius, int MaxThreadsPerBlock) const {
+  return numThreads() <= MaxThreadsPerBlock && isFeasible(Radius);
 }
 
 std::string BlockConfig::toString() const {

@@ -66,13 +66,20 @@ struct BlockConfig {
   /// that stores results).
   long long computeWidth(int BlockedDim, int Radius) const;
 
-  /// True if every blocked dimension retains a positive compute region and
-  /// the thread count respects \p MaxThreadsPerBlock. This cannot check
-  /// that BS has one entry per non-streaming dimension (the config does
-  /// not know the stencil's dimensionality); evaluateModel enforces that
-  /// arity contract for the model/tuner stack, and the access-bounds
-  /// prover for the lowered schedule (AN5D-A210).
-  bool isFeasible(int Radius, int MaxThreadsPerBlock = 1024) const;
+  /// True if bT >= 1 and every blocked dimension retains a positive
+  /// compute region: the legality every backend needs, and all a CPU
+  /// kernel needs. This cannot check that BS has one entry per
+  /// non-streaming dimension (the config does not know the stencil's
+  /// dimensionality); evaluateModel enforces that arity contract for the
+  /// model/tuner stack, and the access-bounds prover for the lowered
+  /// schedule (AN5D-A210).
+  bool isFeasible(int Radius) const;
+
+  /// isFeasible(Radius) and at most \p MaxThreadsPerBlock threads per
+  /// block: a GPU launch limit, so the device callers (the performance
+  /// model, the simulated tuner, the report, the baselines and CUDA
+  /// emission) pass GpuSpec::MaxThreadsPerBlock themselves.
+  bool isFeasible(int Radius, int MaxThreadsPerBlock) const;
 
   std::string toString() const;
 };

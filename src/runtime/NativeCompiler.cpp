@@ -6,6 +6,7 @@
 
 #include "runtime/NativeCompiler.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <sstream>
 
 #if !defined(_WIN32)
 #include <sys/wait.h>
@@ -70,13 +72,15 @@ std::string shellQuote(const std::string &Path) {
 }
 
 /// One-time probe results for a compiler command. Probing forks the
-/// compiler twice (--version, and an actual -fopenmp -shared build, since
-/// e.g. clang without libomp only fails at link time), so results are
-/// memoized per process: NativeExecutor constructs a NativeCompiler per
-/// kernel and must not pay the probe on every cache hit.
+/// compiler three times (--version; an actual -fopenmp -shared build,
+/// since e.g. clang without libomp only fails at link time; and
+/// -march=native -dM -E), so results are memoized per process:
+/// NativeExecutor constructs a NativeCompiler per kernel and must not pay
+/// the probe on every cache hit.
 struct CompilerProbe {
   std::string Version;
   bool OpenMp = false;
+  std::string NativeTarget; ///< Empty when -march=native is rejected.
 };
 
 const CompilerProbe &probeCompiler(const std::string &Command) {
@@ -121,6 +125,22 @@ const CompilerProbe &probeCompiler(const std::string &Command) {
         shellQuote(Library.string()) + " " + shellQuote(Source.string()));
     (void)ProbeOutput;
     Probe.OpenMp = ProbeCode == 0;
+    // The predefined macros under -march=native name the host ISA the
+    // kernels would be built for (__AVX2__, __AVX512F__, ...). -dM lists
+    // them in an order that varies from run to run, so they are sorted:
+    // every process must derive the same cache key.
+    auto [TargetCode, TargetOutput] =
+        runCommand(shellQuote(Command) + " -march=native -dM -E " +
+                   shellQuote(Source.string()));
+    if (TargetCode == 0) {
+      std::vector<std::string> Macros;
+      std::istringstream Lines(TargetOutput);
+      for (std::string Line; std::getline(Lines, Line);)
+        Macros.push_back(std::move(Line));
+      std::sort(Macros.begin(), Macros.end());
+      for (const std::string &Macro : Macros)
+        Probe.NativeTarget += Macro + "\n";
+    }
     fs::remove(Source, Ec);
     fs::remove(Library, Ec);
   }
@@ -145,6 +165,7 @@ NativeCompiler::NativeCompiler(std::string Command)
   const CompilerProbe &Probe = probeCompiler(Command_);
   Version = Probe.Version;
   OpenMp = Probe.OpenMp;
+  NativeTarget = Probe.NativeTarget;
 }
 
 std::vector<std::string> NativeCompiler::sanitizerFlags() {
@@ -175,13 +196,15 @@ std::vector<std::string> NativeCompiler::sanitizerFlags() {
 
 std::vector<std::string> NativeCompiler::flags() const {
   // -ffp-contract=off keeps the bit-for-bit contract with the in-process
-  // executors (no fused mul/add); see the file comment. -fopenmp appears
-  // only when the probe built an OpenMP shared library, and through
-  // fingerprint() it is part of the cache key — so a toolchain gaining or
-  // losing OpenMP support (or a sanitizer appearing) can never be served
-  // a stale artifact.
+  // executors (no fused mul/add, even where -march=native offers FMA);
+  // see the file comment. -march=native and -fopenmp appear only when
+  // their probes succeeded, and through fingerprint() they are part of
+  // the cache key — so a toolchain gaining or losing OpenMP support (or a
+  // sanitizer appearing) can never be served a stale artifact.
   std::vector<std::string> Flags = {"-std=c++17", "-O2", "-shared",
                                     "-fPIC", "-ffp-contract=off"};
+  if (!NativeTarget.empty())
+    Flags.push_back("-march=native");
   const std::vector<std::string> Sanitize = sanitizerFlags();
   bool ThreadSanitizer = false;
   for (const std::string &Flag : Sanitize)
@@ -206,7 +229,9 @@ NativeCompiler::fingerprint(const std::vector<std::string> &ExtraFlags) const {
     Out += Flag + " ";
   for (const std::string &Flag : ExtraFlags)
     Out += Flag + " ";
-  return Out;
+  // -march=native means a different ISA on another host: the resolved
+  // target keys the artifact, not the flag's spelling.
+  return Out + "\n" + NativeTarget;
 }
 
 CompileOutcome NativeCompiler::compileSharedLibrary(

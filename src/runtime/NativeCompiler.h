@@ -9,18 +9,24 @@
 /// translation unit into a shared library. The compiler is resolved once
 /// (AN5D_CXX environment variable, then the compiler CMake configured the
 /// project with, then plain `c++`) and probed — per process, per command —
-/// for its version string and for working -fopenmp support (a tiny shared
+/// for its version string, for working -fopenmp support (a tiny shared
 /// library is actually built, so a clang without libomp fails the probe
-/// and kernels compile serially). The (command, version, effective flags)
-/// triple forms the fingerprint KernelCache hashes, so a toolchain change
-/// — including OpenMP support appearing or vanishing — lands on fresh
-/// cache keys instead of serving stale artifacts.
+/// and kernels compile serially) and for -march=native (`-march=native
+/// -dM -E`, whose predefined-macro set is the resolved host target). The
+/// (command, version, effective flags, resolved target) tuple forms the
+/// fingerprint KernelCache hashes, so a toolchain change — OpenMP support
+/// appearing or vanishing, or the same cache directory reached from a
+/// host with another ISA — lands on fresh cache keys instead of serving
+/// stale artifacts.
 ///
 /// The flag set is deliberately small: -O2 -shared -fPIC plus
-/// -ffp-contract=off and (when supported) -fopenmp. The contraction flag
-/// is load-bearing — the kernels promise bit-for-bit agreement with the
-/// in-process executors, and a fused mul/add would break that (see the
-/// root CMakeLists rationale).
+/// -ffp-contract=off and, when the probes accept them, -march=native and
+/// -fopenmp. -march=native lets the `omp simd` rows use the host's full
+/// vector ISA (AVX2/AVX-512 instead of baseline SSE2); -O3 measured no
+/// consistent gain over -O2. The contraction flag is load-bearing — the
+/// kernels promise bit-for-bit agreement with the in-process executors,
+/// and a fused mul/add would break that (see the root CMakeLists
+/// rationale) — and it keeps FMA out of -march=native builds too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,6 +70,11 @@ public:
   /// kernels then compile with OpenMP worksharing enabled.
   bool openMpSupported() const { return OpenMp; }
 
+  /// The predefined-macro set of `<command> -march=native -dM -E`, one
+  /// sorted line per macro: the host ISA kernels build for. Empty when the
+  /// compiler rejects -march=native, which kernels then build without.
+  const std::string &nativeTarget() const { return NativeTarget; }
+
   /// The sanitizer flags kernel builds inherit so dlopen'd kernels run
   /// under the *same* sanitizer as the host process: the
   /// AN5D_KERNEL_SANITIZE environment variable when set (raw flags;
@@ -72,15 +83,16 @@ public:
   static std::vector<std::string> sanitizerFlags();
 
   /// The flags every kernel build uses with this compiler, in order
-  /// (-fopenmp included iff supported, sanitizerFlags() appended; under
+  /// (-march=native and -fopenmp included iff their probes succeeded,
+  /// sanitizerFlags() appended; under
   /// -fsanitize=thread the OpenMP flag is dropped — see flags() for the
   /// uninstrumented-libgomp rationale). \p ExtraFlags of
   /// compileSharedLibrary are appended after these, so callers can
   /// override (e.g. a test passing -O1 for faster builds).
   std::vector<std::string> flags() const;
 
-  /// Compiler identity + effective flag set; hashed into the kernel-cache
-  /// key.
+  /// Compiler identity + effective flag set + nativeTarget(); hashed into
+  /// the kernel-cache key.
   std::string fingerprint(const std::vector<std::string> &ExtraFlags) const;
 
   /// Builds \p SourcePath into the shared library \p OutputPath.
@@ -93,6 +105,7 @@ private:
   std::string Command_;
   std::string Version;
   bool OpenMp = false;
+  std::string NativeTarget;
 };
 
 } // namespace an5d

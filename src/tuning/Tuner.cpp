@@ -11,65 +11,174 @@
 #include "model/RegisterModel.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "sim/TimeBlockScheduler.h"
 #include "tuning/ParallelSweep.h"
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
+#include <thread>
 
 namespace an5d {
 
+namespace {
+
+/// Every (bT, bS, hS) of bT in [1, MaxBT] x \p Shapes x \p Chunks, bT
+/// outermost and hS innermost.
 std::vector<BlockConfig>
-Tuner::enumerateConfigs(const StencilProgram &Program) const {
+crossProduct(int MaxBT, const std::vector<std::vector<int>> &Shapes,
+             const std::vector<int> &Chunks) {
   std::vector<BlockConfig> Configs;
-  if (Program.numDims() == 2) {
-    for (int BT = 1; BT <= 16; ++BT)
-      for (int BS : {64, 128, 256, 512})
-        for (int HS : {256, 512, 1024}) {
-          BlockConfig C;
-          C.BT = BT;
-          C.BS = {BS};
-          C.HS = HS;
-          Configs.push_back(std::move(C));
-        }
-    return Configs;
-  }
-  if (Program.numDims() == 3) {
-    static const int Shapes[][2] = {{16, 16}, {32, 16}, {32, 32}, {64, 16}};
-    for (int BT = 1; BT <= 8; ++BT)
-      for (const auto &Shape : Shapes)
-        for (int HS : {128, 256}) {
-          BlockConfig C;
-          C.BT = BT;
-          C.BS = {Shape[0], Shape[1]};
-          C.HS = HS;
-          Configs.push_back(std::move(C));
-        }
-    return Configs;
-  }
-  // 1D stencils stream their single dimension (no blocked dimensions, one
-  // lane per block): all thread-block parallelism comes from the hSN
-  // division of Section 4.2.3, so the grid crosses bT with the chunk
-  // length, streaming off (hS=0, a single chunk) included for reference —
-  // the model ranks it last because one block idles every other SM.
-  for (int BT = 1; BT <= 16; ++BT)
-    for (int HS : {0, 128, 256, 512, 1024}) {
-      BlockConfig C;
-      C.BT = BT;
-      C.BS.clear();
-      C.HS = HS;
-      Configs.push_back(std::move(C));
-    }
+  for (int BT = 1; BT <= MaxBT; ++BT)
+    for (const std::vector<int> &Shape : Shapes)
+      for (int HS : Chunks) {
+        BlockConfig C;
+        C.BT = BT;
+        C.BS = Shape;
+        C.HS = HS;
+        Configs.push_back(std::move(C));
+      }
   return Configs;
 }
 
-double quantizedModelScore(double Gflops) {
+/// The 1D grid both rankings share. 1D stencils stream their single
+/// dimension (no blocked dimensions, one lane per block): all parallelism
+/// comes from the hSN division of Section 4.2.3, so the grid crosses bT
+/// with the chunk length, streaming off (hS=0, a single chunk) included
+/// for reference.
+std::vector<BlockConfig> streamingGrid() {
+  return crossProduct(16, {{}}, {0, 128, 256, 512, 1024});
+}
+
+/// The native menu: blocks sized for a CPU core rather than a thread
+/// block. The contiguous axis (the last bS) stays long so the `omp simd`
+/// rows run whole vectors, and no thread cap applies. bT and hS keep the
+/// Section 6.3 ranges.
+std::vector<BlockConfig> hostMenu(int NumDims) {
+  if (NumDims == 2)
+    return crossProduct(16, {{256}, {512}, {1024}, {2048}},
+                        {256, 512, 1024});
+  if (NumDims == 3) {
+    std::vector<std::vector<int>> Shapes;
+    for (int Rows : {8, 16, 32, 64})
+      for (int Contiguous : {64, 128, 256})
+        Shapes.push_back({Rows, Contiguous});
+    return crossProduct(8, Shapes, {128, 256});
+  }
+  return streamingGrid();
+}
+
+/// Most ring bytes per kernel thread a native candidate may allocate:
+/// bT * (2*radius + 1) * prod(bS) * element bytes. It keeps every thread's
+/// rings within its share of L2 and bounds the tune's memory.
+constexpr long long HostRingBudgetBytes = 256 * 1024;
+
+/// Sum of Weight(span) over the tiles [o, o + Width) that cover
+/// [0, Extent), where span is the length of [o - Reach, o + Width + Reach)
+/// clipped to [Lo, Hi).
+template <typename WeightFn>
+long long sumOverTiles(long long Extent, long long Width, long long Reach,
+                       long long Lo, long long Hi, WeightFn Weight) {
+  long long Sum = 0;
+  for (long long O = 0; O < Extent; O += Width)
+    Sum += Weight(std::max(
+        std::min(O + Width + Reach, Hi) - std::max(O - Reach, Lo), 0LL));
+  return Sum;
+}
+
+/// The host cost of running \p Config on \p Problem with \p Threads
+/// kernel threads, per cell update, over the invocations the host
+/// schedule issues for the problem's step count. Per invocation of
+/// degree d:
+///
+///  - compute: tier t covers its compute range widened by its reach
+///    (d - t)*radius, interior cells only. A row of L contiguous lanes
+///    costs floor(L/V) vector iterations, L mod V scalar remainder lanes
+///    and 2 of loop overhead, V = 32 bytes / element; that summed over
+///    rows, tiers, blocks and chunks is divided by the thread balance
+///    of the (chunk, block) work items;
+///  - memory: 0.02 per byte moved, at 2 * element bytes per loaded cell.
+///    The load stage fills every lane of a block's span, in the grid or
+///    not, on each plane of its chunk widened by d*radius (clipped to the
+///    grid and its halo), so the load redundancy of the overlapped tiling,
+///    oversized blocks and the 1/d amortization all show.
+///
+/// Runs the step count makes identical (bT past the steps, hS past the
+/// streamed extent) cost exactly the same.
+double hostCost(const StencilProgram &Program, const BlockConfig &Config,
+                const ProblemSize &Problem, int Threads) {
+  const long long Radius = Program.radius();
+  const long long Elem = Program.wordSize();
+  const long long VectorLanes = 32 / Elem;
+  auto RowCost = [VectorLanes](long long L) {
+    return L / VectorLanes + L % VectorLanes + 2;
+  };
+  auto Cells = [](long long L) { return L; };
+  const std::vector<long long> &N = Problem.Extents;
+  const long long Chunk = Config.HS > 0 && Config.HS < N[0] ? Config.HS : N[0];
+  const std::size_t Blocked = Config.BS.size();
+  const long long Steps = std::max(Problem.TimeSteps, 1LL);
+
+  std::map<int, long long> Calls;
+  for (int Degree : scheduleTimeBlocks(Steps, Config.BT))
+    ++Calls[Degree];
+  double Total = 0;
+  for (const auto &[Degree, Count] : Calls) {
+    const long long D = Degree;
+    long long Items = (N[0] + Chunk - 1) / Chunk;
+    long long Loaded =
+        sumOverTiles(N[0], Chunk, D * Radius, -Radius, N[0] + Radius, Cells);
+    std::vector<long long> Width(Blocked);
+    for (std::size_t A = 0; A < Blocked; ++A) {
+      Width[A] = Config.BS[A] - 2 * D * Radius;
+      const long long Blocks = (N[A + 1] + Width[A] - 1) / Width[A];
+      Items *= Blocks;
+      Loaded *= Blocks * Config.BS[A];
+    }
+    long long Work = 0;
+    for (long long Tier = 1; Tier <= D; ++Tier) {
+      const long long Reach = (D - Tier) * Radius;
+      long long Rows = 1, RowWork = RowCost(1);
+      if (Blocked > 0)
+        RowWork = sumOverTiles(N[Blocked], Width[Blocked - 1], Reach, 0,
+                               N[Blocked], RowCost);
+      if (Blocked > 1)
+        Rows = sumOverTiles(N[1], Width[0], Reach, 0, N[1], Cells);
+      Work += sumOverTiles(N[0], Chunk, Reach, 0, N[0], Cells) * Rows *
+              RowWork;
+    }
+    const long long Slots = Threads * ((Items + Threads - 1) / Threads);
+    Total += static_cast<double>(Count) *
+             (static_cast<double>(Work) * static_cast<double>(Slots) /
+                  static_cast<double>(Items) +
+              0.02 * 2.0 * static_cast<double>(Elem * Loaded));
+  }
+  return Total / (static_cast<double>(Steps) *
+                  static_cast<double>(Problem.cellCount()));
+}
+
+} // namespace
+
+std::vector<BlockConfig>
+Tuner::enumerateConfigs(const StencilProgram &Program) const {
+  if (Program.numDims() == 2)
+    return crossProduct(16, {{64}, {128}, {256}, {512}}, {256, 512, 1024});
+  if (Program.numDims() == 3)
+    return crossProduct(8, {{16, 16}, {32, 16}, {32, 32}, {64, 16}},
+                        {128, 256});
+  // The model ranks hS=off last: one thread block idles every other SM.
+  return streamingGrid();
+}
+
+double quantizedModelScore(double Score) {
   // Float's 2^-24 relative quantum is ~10 orders of magnitude above the
   // double-rounding noise the model can accumulate, so scores that differ
   // only in compiler/FP-flag-dependent low bits collapse to the same key
   // and fall through to the field tie-break. Comparing quantized keys
   // exactly keeps the sort comparator a strict weak ordering (an
   // epsilon-relative "tied" predicate would not be transitive).
-  return static_cast<double>(static_cast<float>(Gflops));
+  return static_cast<double>(static_cast<float>(Score));
 }
 
 bool Tuner::passesStaticPruning(const StencilProgram &Program,
@@ -106,6 +215,58 @@ std::vector<RankedConfig> Tuner::rankByModel(const StencilProgram &Program,
                 return A.Config.numThreads() < B.Config.numThreads();
               if (A.Config.BS != B.Config.BS)
                 return A.Config.BS < B.Config.BS;
+              return A.Config.HS < B.Config.HS;
+            });
+  if (Ranked.size() > TopK)
+    Ranked.resize(TopK);
+  return Ranked;
+}
+
+std::vector<RankedConfig> Tuner::rankByHostCost(const StencilProgram &Program,
+                                               const ProblemSize &Problem,
+                                               std::size_t TopK,
+                                               int Threads) {
+  // The cost walks the problem's axes, so a problem of the wrong arity or
+  // with an empty axis ranks nothing.
+  if (static_cast<int>(Problem.Extents.size()) != Program.numDims() ||
+      std::any_of(Problem.Extents.begin(), Problem.Extents.end(),
+                  [](long long E) { return E < 1; }))
+    return {};
+  const long long RingDepth = 2LL * Program.radius() + 1;
+  const long long StreamExtent = Problem.Extents.front();
+  std::set<std::pair<int, std::vector<int>>> OneChunk;
+  std::vector<RankedConfig> Ranked;
+  for (const BlockConfig &Config : hostMenu(Program.numDims())) {
+    if (!Config.isFeasible(Program.radius()) ||
+        Config.BT * RingDepth * Config.numThreads() * Program.wordSize() >
+            HostRingBudgetBytes)
+      continue;
+    // Every hS at or above the streamed extent runs the same single
+    // chunk: time it once.
+    if ((Config.HS == 0 || Config.HS >= StreamExtent) &&
+        !OneChunk.insert({Config.BT, Config.BS}).second)
+      continue;
+    RankedConfig Entry;
+    Entry.Config = Config;
+    Entry.HostCost = hostCost(Program, Config, Problem, std::max(Threads, 1));
+    Ranked.push_back(std::move(Entry));
+  }
+  std::sort(Ranked.begin(), Ranked.end(),
+            [](const RankedConfig &A, const RankedConfig &B) {
+              double QA = quantizedModelScore(A.HostCost);
+              double QB = quantizedModelScore(B.HostCost);
+              if (QA != QB)
+                return QA < QB;
+              // Ties (blocks that all cover the tune problem, bT past its
+              // step count) break on bS first, so the top-K spans as few
+              // kernels as it can — each distinct bS is one compile —
+              // then bT, then hS.
+              if (A.Config.numThreads() != B.Config.numThreads())
+                return A.Config.numThreads() < B.Config.numThreads();
+              if (A.Config.BS != B.Config.BS)
+                return A.Config.BS < B.Config.BS;
+              if (A.Config.BT != B.Config.BT)
+                return A.Config.BT < B.Config.BT;
               return A.Config.HS < B.Config.HS;
             });
   if (Ranked.size() > TopK)
@@ -165,16 +326,23 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
   const std::vector<int> &Caps =
       UseNative ? NativeCaps : Options.RegisterCaps;
 
-  // Stage 1 (enumerate/prune): per-problem model ranking, then the full
-  // candidate list — top-K x register caps, cross-product with the
-  // problem sizes — for one shared sweep.
+  // Stage 1 (enumerate/prune): per-problem ranking — the host cost over
+  // the host menu for native kernels, the Section 5 model otherwise —
+  // then the full candidate list — top-K x register caps, cross-product
+  // with the problem sizes — for one shared sweep.
+  const int KernelThreads =
+      Options.Native.Runtime.Threads > 0
+          ? Options.Native.Runtime.Threads
+          : static_cast<int>(std::thread::hardware_concurrency());
   std::vector<SweepCandidate> Candidates;
   const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
   for (std::size_t P = 0; P < Problems.size(); ++P) {
     {
       AN5D_TRACE_SPAN("tune.rank");
       Outcomes[P].TopByModel =
-          rankByModel(Program, Problems[P], Options.TopK);
+          UseNative ? rankByHostCost(Program, Problems[P], Options.TopK,
+                                     KernelThreads)
+                    : rankByModel(Program, Problems[P], Options.TopK);
     }
     obs::count("tuner.candidates_ranked",
                static_cast<long long>(Outcomes[P].TopByModel.size()));
@@ -192,10 +360,10 @@ Tuner::tuneAcrossProblems(const StencilProgram &Program,
       // The analysis pipeline gates the sweep: tape discipline, schedule
       // legality (the access-bounds prover), and the resource features
       // the sweep candidates carry. A candidate with an Error finding
-      // never reaches the compiler. rankByModel only emits
-      // feasibility-pruned configs, so a rejection here means the model
-      // and the prover disagree — worth surfacing loudly rather than
-      // timing a kernel with a latent race.
+      // never reaches the compiler. Both rankings emit only feasible
+      // configs, so a rejection here means feasibility and the prover
+      // disagree — worth surfacing loudly rather than timing a kernel
+      // with a latent race.
       AnalysisInput PassInput;
       PassInput.Program = &Program;
       PassInput.Schedule = &Lowered;

@@ -17,6 +17,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -254,6 +255,44 @@ TEST(CliTool, VerifyNativeMatchesReference) {
   EXPECT_EQ(Code, 0) << Output;
   EXPECT_NE(Output.find("native == reference (bitwise)"), std::string::npos)
       << Output;
+}
+
+TEST(CliTool, HostOnlyBlockReachesEveryCpuOutput) {
+  // bS=32x128 is 4096 lanes: past a GPU's 1024-thread cap, legal for a CPU
+  // kernel, and a shape a native tune picks.
+  const std::string Dir = ::testing::TempDir() + "/an5dc_host_block";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  auto [Code, Output] = runCommand(
+      an5dc() + " --benchmark star3d1r --bt 4 --bs 32,128 --hs 8 "
+                "--kernel-cache " +
+      sharedKernelCache() + " --run-native --verify-native --emit-omp " +
+      Dir + " --emit-check " + Dir + " --analyze " + Dir + "/report.json");
+  EXPECT_EQ(Code, 0) << Output;
+  EXPECT_NE(Output.find("GFLOP/s"), std::string::npos) << Output;
+  EXPECT_NE(Output.find("native == reference (bitwise)"), std::string::npos)
+      << Output;
+  for (const char *File : {"star3d1r_omp.cpp", "star3d1r_check.cpp",
+                           "report.json"})
+    EXPECT_TRUE(std::filesystem::exists(Dir + "/" + File)) << File;
+}
+
+TEST(CliTool, HostOnlyBlockRefusesCudaFacingOutputs) {
+  const std::string Dir = ::testing::TempDir() + "/an5dc_host_block_cuda";
+  std::filesystem::remove_all(Dir);
+  for (const std::string &Flag :
+       {"--emit-cuda " + Dir, std::string("--print-model"),
+        std::string("--report")}) {
+    auto [Code, Output] = runCommand(
+        an5dc() + " --benchmark star3d1r --bt 4 --bs 32,128 --hs 128 " +
+        Flag);
+    EXPECT_EQ(Code, 1) << Flag << ":\n" << Output;
+    EXPECT_NE(Output.find("above the 1024-thread cap"), std::string::npos)
+        << Flag << ":\n" << Output;
+    EXPECT_EQ(std::count(Output.begin(), Output.end(), '\n'), 1)
+        << Flag << ":\n" << Output;
+  }
+  EXPECT_FALSE(std::filesystem::exists(Dir));
 }
 
 TEST(CliTool, RunNativeSecondInvocationHitsCache) {

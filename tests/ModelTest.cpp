@@ -47,6 +47,11 @@ TEST(BlockConfigTest, ThreadsAndComputeWidth) {
   EXPECT_EQ(C3.numThreads(), 1024);
   EXPECT_TRUE(C3.isFeasible(1, 1024));
   EXPECT_FALSE(C3.isFeasible(1, 512)) << "thread limit";
+
+  // Without a cap, only legality counts: a CPU kernel takes 4096 lanes.
+  C3.BS = {32, 128};
+  EXPECT_TRUE(C3.isFeasible(1));
+  EXPECT_FALSE(C3.isFeasible(1, 1024)) << "thread limit";
 }
 
 TEST(ProblemSizeTest, PaperDefaults) {

@@ -11,7 +11,8 @@
 ///    acceptance contract of the native backend;
 ///  * KernelCache hit/miss behavior, persistence across cache objects,
 ///    force-recompile, and failure accounting;
-///  * NativeCompiler detection and failure reporting;
+///  * NativeCompiler detection and failure reporting, and the host target
+///    (-march=native and its resolved macro set) in the kernel-cache key;
 ///  * the native measured sweep (compile pool + serial timing) and the
 ///    Tuner's Native measurement backend, which compiles one kernel per
 ///    (stencil, bS);
@@ -253,6 +254,9 @@ struct ProductionCase {
   std::string Name;
   ScalarType Type;
   BlockConfig Config;
+  /// Distinguishes a second case of the same stencil and type in the
+  /// test name.
+  std::string Tag;
   /// Each set includes a block straddling both grid edges (blocked extent
   /// below bS), a blocked extent of 1, one of cw + 1 (a one-lane last
   /// block) and one giving compute ranges that are no multiple of 4, 8 or
@@ -279,19 +283,32 @@ BlockConfig productionConfig(int BT, std::vector<int> BS, long long HS) {
 std::vector<ProductionCase> productionCases() {
   return {
       // cw = 32 - 2*3*1 = 26.
-      {"j2d5pt", ScalarType::Float, productionConfig(3, {32}, 7),
+      {"j2d5pt", ScalarType::Float, productionConfig(3, {32}, 7), "",
        {{17, 19}, {9, 1}, {12, 27}, {23, 55}, {1, 30}}, {2, 7}},
       // Radius 2: cw = 27 - 2*2*2 = 19.
-      {"j2d9pt", ScalarType::Float, productionConfig(2, {27}, 5),
+      {"j2d9pt", ScalarType::Float, productionConfig(2, {27}, 5), "",
        {{13, 11}, {6, 1}, {10, 20}, {19, 41}}, {3, 5}},
       // cw = (14, 21) - 2*3*1 = (8, 15).
-      {"star3d1r", ScalarType::Float, productionConfig(3, {14, 21}, 4),
+      {"star3d1r", ScalarType::Float, productionConfig(3, {14, 21}, 4), "",
        {{9, 5, 11}, {5, 1, 1}, {6, 9, 16}, {11, 19, 33}}, {2, 7}},
       // Box taps: d1 and d2 both non-zero. cw = (11, 19) - 4 = (7, 15).
-      {"j3d27pt", ScalarType::Float, productionConfig(2, {11, 19}, 3),
+      {"j3d27pt", ScalarType::Float, productionConfig(2, {11, 19}, 3), "",
        {{7, 5, 9}, {4, 1, 1}, {5, 8, 16}, {9, 17, 33}}, {3, 5}},
-      {"j3d27pt", ScalarType::Double, productionConfig(2, {11, 19}, 3),
+      {"j3d27pt", ScalarType::Double, productionConfig(2, {11, 19}, 3), "",
        {{7, 5, 9}, {4, 1, 1}, {5, 8, 16}, {9, 17, 33}}, {3, 5}},
+      // A host-menu block of 4096 lanes, past a GPU's thread cap.
+      // cw = (32, 128) - 2*4*1 = (24, 120).
+      {"star3d1r", ScalarType::Float, productionConfig(4, {32, 128}, 5),
+       "host_block",
+       {{9, 20, 90}, {5, 1, 1}, {7, 25, 121}, {11, 30, 37}}, {3, 9}},
+      // sqrt and division: correctly rounded in every vector ISA.
+      {"gradient2d", ScalarType::Float, productionConfig(3, {32}, 7), "",
+       {{17, 19}, {9, 1}, {12, 27}, {23, 55}}, {2, 7}},
+      {"gradient2d", ScalarType::Double, productionConfig(3, {32}, 7), "",
+       {{17, 19}, {9, 1}, {12, 27}, {23, 55}}, {2, 7}},
+      // cw = 512 - 2*8*1 = 496.
+      {"j2d5pt", ScalarType::Double, productionConfig(8, {512}, 7), "",
+       {{9, 300}, {5, 1}, {6, 497}, {7, 1001}}, {5, 11}},
   };
 }
 
@@ -325,7 +342,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(productionCases()),
     [](const ::testing::TestParamInfo<ProductionCase> &Info) {
       return Info.param.Name +
-             (Info.param.Type == ScalarType::Double ? "_double" : "");
+             (Info.param.Type == ScalarType::Double ? "_double" : "") +
+             (Info.param.Tag.empty() ? "" : "_" + Info.param.Tag);
     });
 
 //===----------------------------------------------------------------------===//
@@ -698,6 +716,104 @@ TEST(KernelCache, CompileFailureIsReportedWithLog) {
   EXPECT_NE(Artifact.Log.find("compile failed"), std::string::npos);
   EXPECT_EQ(Cache.stats().Failures, 1u);
   EXPECT_FALSE(std::filesystem::exists(Artifact.LibraryPath));
+}
+
+//===----------------------------------------------------------------------===//
+// Host target: -march=native and the cache key
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Writes an executable shell script at \p Dir/cxx that runs \p Prelude
+/// and then hands its arguments to the real host compiler.
+std::string writeCompilerWrapper(const std::string &Dir,
+                                 const std::string &Prelude) {
+  std::filesystem::create_directories(Dir);
+  const std::string Path = Dir + "/cxx";
+  std::ofstream(Path) << "#!/bin/sh\n"
+                      << Prelude << "exec '" << NativeCompiler::detect()
+                      << "' \"$@\"\n";
+  std::filesystem::permissions(Path, std::filesystem::perms::owner_all);
+  return Path;
+}
+
+bool hasFlag(const NativeCompiler &Compiler, const std::string &Flag) {
+  const std::vector<std::string> Flags = Compiler.flags();
+  return std::find(Flags.begin(), Flags.end(), Flag) != Flags.end();
+}
+
+} // namespace
+
+TEST(NativeCompiler, FingerprintCarriesTheResolvedHostTarget) {
+  NativeCompiler Compiler;
+  ASSERT_TRUE(Compiler.available());
+  if (!hasFlag(Compiler, "-march=native"))
+    GTEST_SKIP() << "the host compiler rejects -march=native";
+  EXPECT_NE(Compiler.nativeTarget().find("#define "), std::string::npos)
+      << Compiler.nativeTarget();
+  EXPECT_NE(Compiler.fingerprint({}).find(Compiler.nativeTarget()),
+            std::string::npos);
+}
+
+TEST(NativeCompiler, RejectedMarchNativeBuildsBaselineKernels) {
+  const std::string Compiler = writeCompilerWrapper(
+      freshCacheDir("no-march"),
+      "for a in \"$@\"; do\n"
+      "  [ \"$a\" = -march=native ] && { echo 'no -march' >&2; exit 1; }\n"
+      "done\n");
+  NativeCompiler Wrapped(Compiler);
+  ASSERT_TRUE(Wrapped.available());
+  EXPECT_FALSE(hasFlag(Wrapped, "-march=native"));
+  EXPECT_TRUE(Wrapped.nativeTarget().empty());
+
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  NativeRuntimeOptions Options = fastBuildOptions(freshCacheDir("no-march-k"));
+  Options.Compiler = Compiler;
+  NativeExecutor Executor(*Program, testConfig(*Program), Options);
+  ASSERT_TRUE(Executor.ok()) << Executor.error();
+  expectExecutorMatchesReference<float>(*Program, Executor, {23, 19}, 7);
+}
+
+TEST(NativeCompiler, ResolvedTargetIgnoresMacroOrder) {
+  // -dM lists the same macros in a different order from run to run; a
+  // process that saw another order must still derive the same key.
+  std::vector<std::string> Targets;
+  for (const char *Order : {"echo '#define A 1'; echo '#define B 2'",
+                            "echo '#define B 2'; echo '#define A 1'"}) {
+    NativeCompiler Wrapped(writeCompilerWrapper(
+        freshCacheDir("order-" + std::to_string(Targets.size())),
+        std::string("case \" $* \" in *\" -dM \"*) ") + Order +
+            "; exit 0 ;; esac\n"));
+    Targets.push_back(Wrapped.nativeTarget());
+  }
+  EXPECT_EQ(Targets[0], "#define A 1\n#define B 2\n");
+  EXPECT_EQ(Targets[0], Targets[1]);
+}
+
+TEST(KernelCache, HostTargetIsPartOfTheKey) {
+  // Two compilers that differ only in the macros -march=native predefines
+  // (as the same toolchain does on two hosts) must not share artifacts.
+  const std::string Source =
+      generateCppKernelLibrary(*makeBenchmarkStencil("j2d5pt",
+                                                     ScalarType::Float),
+                               productionConfig(3, {32}, 7));
+  std::vector<std::string> Keys, Identities;
+  for (const char *Isa : {"AN5D_TEST_ISA_A", "AN5D_TEST_ISA_B"}) {
+    const std::string Macro = std::string("#define ") + Isa + " 1";
+    NativeCompiler Wrapped(writeCompilerWrapper(
+        freshCacheDir(Isa), "case \" $* \" in *\" -dM \"*) echo '" + Macro +
+                                "'; exit 0 ;; esac\n"));
+    ASSERT_TRUE(hasFlag(Wrapped, "-march=native"));
+    EXPECT_EQ(Wrapped.nativeTarget(), Macro + "\n");
+    const std::string Fingerprint = Wrapped.fingerprint({});
+    EXPECT_NE(Fingerprint.find(Macro), std::string::npos);
+    Keys.push_back(KernelCache::hashKey(Source, Fingerprint));
+    // Everything after the command line: the wrappers share the real
+    // compiler's version and flags, so only the target can differ.
+    Identities.push_back(Fingerprint.substr(Wrapped.command().size()));
+  }
+  EXPECT_NE(Keys[0], Keys[1]);
+  EXPECT_NE(Identities[0], Identities[1]);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 
 #include "tuning/Tuner.h"
 
+#include "analysis/passes/AnalysisPass.h"
 #include "model/RegisterModel.h"
 #include "stencils/Benchmarks.h"
 
@@ -13,6 +14,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <set>
+#include <tuple>
 
 using namespace an5d;
 
@@ -286,4 +290,105 @@ TEST(Tuner, TuneOptionsTopKLimitsSweep) {
   EXPECT_EQ(Outcome.Best.BT, Outcome.TopByModel[0].Config.BT);
   EXPECT_EQ(Outcome.Best.BS, Outcome.TopByModel[0].Config.BS);
   EXPECT_EQ(Outcome.Best.HS, Outcome.TopByModel[0].Config.HS);
+}
+
+//===----------------------------------------------------------------------===//
+// Host ranking of native candidates
+//===----------------------------------------------------------------------===//
+
+TEST(HostRanking, PropertiesOnTheNativeTuneProblem) {
+  // Every builtin in both precisions, ranked for the problem a native tune
+  // times, at thread counts that balance the work items differently.
+  const std::size_t TopK = 8;
+  const AnalysisPassManager Passes = AnalysisPassManager::standardPipeline();
+  std::vector<std::string> Names = benchmarkStencilNames();
+  for (const std::string &Extra : extraStencilNames())
+    Names.push_back(Extra);
+  std::set<std::string> RanOut;
+  for (const std::string &Name : Names)
+    for (ScalarType Type : {ScalarType::Float, ScalarType::Double})
+      for (int Threads : {1, 4, 6}) {
+        auto P = makeBenchmarkStencil(Name, Type);
+        const std::string Label = Name + " " + scalarTypeName(Type);
+        SCOPED_TRACE(Label + ", " + std::to_string(Threads) + " threads");
+        const ProblemSize Problem = nativeMeasurementProblem(P->numDims());
+        const std::vector<RankedConfig> All = Tuner::rankByHostCost(
+            *P, Problem, std::numeric_limits<std::size_t>::max(), Threads);
+        const std::vector<RankedConfig> Ranked =
+            Tuner::rankByHostCost(*P, Problem, TopK, Threads);
+        const std::vector<RankedConfig> Again =
+            Tuner::rankByHostCost(*P, Problem, TopK, Threads);
+        // TopK entries unless fewer candidates pass the filters: the head
+        // of the full ranking, the same on every call.
+        ASSERT_EQ(Ranked.size(), std::min(TopK, All.size()));
+        if (All.size() < TopK)
+          RanOut.insert(Label);
+        ASSERT_EQ(Again.size(), Ranked.size());
+        std::set<std::tuple<std::vector<int>, int, int>> Runs;
+        for (std::size_t I = 0; I < Ranked.size(); ++I) {
+          const BlockConfig &C = Ranked[I].Config;
+          EXPECT_EQ(C.toString(), All[I].Config.toString());
+          EXPECT_EQ(C.toString(), Again[I].Config.toString());
+          EXPECT_EQ(Ranked[I].HostCost, Again[I].HostCost);
+
+          ScheduleIR IR = lowerSchedule(*P, C);
+          AnalysisInput Input;
+          Input.Program = P.get();
+          Input.Schedule = &IR;
+          EXPECT_TRUE(Passes.run(Input).proven()) << C.toString();
+
+          // No two entries run the same (bT, bS, chunks) on the tune
+          // problem: an hS at or past the streamed extent is one chunk.
+          // (Distinct bT can still issue the same blocks on a short
+          // problem — bT = 4 and 8 over 8 steps both run two degree-4
+          // blocks — and stay distinct candidates: they differ on the
+          // problems the pick runs.)
+          const int Chunk =
+              C.HS > 0 && C.HS < Problem.Extents.front() ? C.HS : 0;
+          EXPECT_TRUE(Runs.insert({C.BS, C.BT, Chunk}).second)
+              << C.toString();
+
+          if (!C.BS.empty())
+            EXPECT_GE(C.BS.back(), 64) << C.toString();
+          const long long RingBytes = C.BT * (2LL * P->radius() + 1) *
+                                      C.numThreads() * P->wordSize();
+          EXPECT_LE(RingBytes, 256 * 1024) << C.toString();
+        }
+      }
+  // Only the radius-4 3D stencils in double run out: 256 KiB of rings
+  // leave them bT = 1 on 16x64, 16x128 and 32x64.
+  EXPECT_EQ(RanOut,
+            (std::set<std::string>{"box3d4r double", "star3d4r double"}));
+}
+
+TEST(HostRanking, NativeTunesMeasureTheHostRanking) {
+  // No compiler: every candidate fails before a build, so only the ranking
+  // stage runs. It is the host ranking at the kernels' thread count, with
+  // no GPU thread cap.
+  auto P = makeBenchmarkStencil("star3d1r", ScalarType::Float);
+  Tuner T(GpuSpec::teslaV100());
+  TuneOptions Options;
+  Options.Backend = MeasurementBackend::Native;
+  Options.TopK = 8;
+  Options.Native.Runtime.Compiler = "/nonexistent/an5d-cxx";
+  Options.Native.Runtime.Threads = 4;
+  const ProblemSize Problem = nativeMeasurementProblem(3);
+  TuneOutcome Outcome = T.tune(*P, Problem, Options);
+  EXPECT_FALSE(Outcome.Feasible);
+  EXPECT_EQ(Outcome.MeasurementFailures, Options.TopK);
+  const std::vector<RankedConfig> Host =
+      Tuner::rankByHostCost(*P, Problem, Options.TopK, 4);
+  ASSERT_EQ(Outcome.TopByModel.size(), Host.size());
+  for (std::size_t I = 0; I < Host.size(); ++I)
+    EXPECT_EQ(Outcome.TopByModel[I].Config.toString(),
+              Host[I].Config.toString());
+  EXPECT_GT(Host.front().Config.numThreads(), T.spec().MaxThreadsPerBlock);
+}
+
+TEST(HostRanking, MalformedProblemRanksNothing) {
+  auto P = makeBenchmarkStencil("star3d1r", ScalarType::Float);
+  ProblemSize WrongArity{{64, 64}, 8};
+  ProblemSize EmptyAxis{{64, 0, 64}, 8};
+  EXPECT_TRUE(Tuner::rankByHostCost(*P, WrongArity, 8, 4).empty());
+  EXPECT_TRUE(Tuner::rankByHostCost(*P, EmptyAxis, 8, 4).empty());
 }

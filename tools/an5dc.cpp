@@ -24,8 +24,9 @@
 ///   --bt N --bs N[,N] --hs N --regs N    manual configuration
 ///   --tune               pick the configuration with the Section 6.3 flow
 ///   --tune-threads N     measured-sweep worker threads (0 = auto)
-///   --tune-topk N        model-ranked candidates to measure (default 16;
-///                        8 with --measure native)
+///   --tune-topk N        ranked candidates to measure (default 16; 8
+///                        with --measure native, which ranks by the host
+///                        cost instead of the GPU model)
 ///   --measure SOURCE     measured-sweep source: simulated (default) or
 ///                        native (JIT-compiled OpenMP kernels on this CPU)
 ///   --measure-threads N  OpenMP threads per timed native kernel — applies
@@ -37,6 +38,8 @@
 ///                        and to --run-native
 ///   --print-stencil      show the detected stencil and classification
 ///   --print-model        show the roofline breakdown for the configuration
+///                        (like --report and --emit-cuda, exit 1 for a
+///                        block above the device's threads-per-block cap)
 ///   --lint               lint the generated kernel-library and
 ///                        check-program sources (ABI symbols, exact-float
 ///                        literals, banned calls, restrict qualifiers)
@@ -746,12 +749,27 @@ int main(int Argc, char **Argv) {
                    Program->numDims() - 1, Program->numDims());
       return 1;
     }
-    if (!Config.isFeasible(Program->radius(), Spec.MaxThreadsPerBlock)) {
+    if (!Config.isFeasible(Program->radius())) {
       std::fprintf(stderr,
                    "an5dc: configuration %s is infeasible for radius %d\n",
                    Config.toString().c_str(), Program->radius());
       return 1;
     }
+  }
+
+  // A CPU kernel takes any legal block, and a native tune may pick one
+  // wider than a GPU can launch; only the outputs that model or emit the
+  // CUDA kernel need the device's thread cap.
+  if ((Options.Report || Options.PrintModel ||
+       !Options.EmitCudaDir.empty()) &&
+      !Config.isFeasible(Program->radius(), Spec.MaxThreadsPerBlock)) {
+    std::fprintf(stderr,
+                 "an5dc: %s has %lld threads per block, above the "
+                 "%d-thread cap of %s (--emit-cuda, --print-model and "
+                 "--report need a launchable block)\n",
+                 Config.toString().c_str(), Config.numThreads(),
+                 Spec.MaxThreadsPerBlock, Spec.Name.c_str());
+    return 1;
   }
 
   if (!Options.AnalyzePath.empty()) {
