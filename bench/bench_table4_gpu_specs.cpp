@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Table 4 of the paper: the evaluation GPUs (float | double columns).
-/// These values parameterize the whole performance model; on this GPU-less
-/// machine they are constants rather than measurements, as documented in
-/// EXPERIMENTS.md.
+/// These values parameterize the whole performance model; without a GPU
+/// they are constants rather than measurements (README "Deviations from
+/// the paper").
 ///
 //===----------------------------------------------------------------------===//
 

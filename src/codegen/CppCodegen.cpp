@@ -342,9 +342,10 @@ static std::string emitBlocked2d(const std::string &Rows,
 // reads only `in` plus its own rings and writes a disjoint region of
 // `out`, so the pair loop is an OpenMP worksharing loop when compiled with
 // -fopenmp (rings are per-thread). Each tier of an interior sub-plane
-// computes one branch-free lane range as an `omp simd` loop; the edge
-// lanes around it are pinned to the input outside the grid and carry the
-// previous tier forward inside it (halo overwrite).
+// computes one branch-free lane range as an `omp simd` loop and pins the
+// grid-halo lanes around it to the input. Nothing else is written: a tier
+// reads only its producer's valid region (AN5D-A212), so no value is
+// carried across the halo and no lane past the grid halo is ever read.
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
   const long long ns = ext[0], n1 = ext[1];
   // Offset of cell (i, j) in the padded row-major grid.
@@ -362,7 +363,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 #endif
   {
     // Every tier's ring in one allocation; a row holds one sub-plane.
+    // Zeroed once so no lane is indeterminate; each item writes every
+    // lane it reads before reading it, so items need no reset.
     Real *rings = new Real[(size_t)degree * tierSize];
+    zeroN(rings, (long long)(degree * tierSize));
     auto ring = [&](int tier, long long p) {
       long long m = p % ringDepth;
       return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * BS1;
@@ -382,19 +386,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
         const long long inHi = lmin(n1 - spanLo, BS1);
         const long long exLo = lmax(-RAD - spanLo, 0);
         const long long exHi = lmin(n1 + RAD - spanLo, BS1);
-        // Pins lanes lo <= lane < hi of sub-plane p to the input; lanes
-        // beyond the halo read as 0.
+        // Pins lanes lo <= lane < hi of sub-plane p to the input.
         auto pin = [&](Real *dst, long long p, long long lo, long long hi) {
-          const long long a = lmax(lo, exLo), z = lmin(hi, exHi);
-          if (a >= z) {
-            zeroN(dst + lo, hi - lo);
-            return;
-          }
-          zeroN(dst + lo, a - lo);
-          copyN(dst + a, in + idx(p, spanLo + a), z - a);
-          zeroN(dst + z, hi - z);
+          copyN(dst + lo, in + idx(p, spanLo + lo), hi - lo);
         };
-        zeroN(rings, (long long)(degree * tierSize));
         const long long sBegin = c0 - (long long)degree * RAD;
         const long long sEnd = c1 - 1 + (long long)degree * RAD;
         for (long long s = sBegin; s <= sEnd; ++s) {
@@ -403,7 +398,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
             const long long lo = lmax(c0 - (long long)degree * RAD, -RAD);
             const long long hi = lmin(c1 - 1 + (long long)degree * RAD, ns - 1 + RAD);
             if (s >= lo && s <= hi)
-              pin(ring(0, s), s, 0, BS1);
+              pin(ring(0, s), s, exLo, exHi);
           }
           // Tiers 1..degree: each lags its producer by one radius.
           for (int tier = 1; tier <= degree; ++tier) {
@@ -416,7 +411,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
             const bool interiorPlane = p >= 0 && p < ns;
             if (tier < degree && !interiorPlane) {
               // Boundary sub-planes pinned to the input.
-              pin(ring(tier, p), p, 0, BS1);
+              pin(ring(tier, p), p, exLo, exHi);
               continue;
             }
             if (tier == degree && (!interiorPlane || p < c0 || p >= c1))
@@ -427,12 +422,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 )cpp" + Rows +
          R"cpp(            if (tier < degree) {
               Real *__restrict__ dst = ring(tier, p);
-              const Real *cur = ring(tier - 1, p);
-              // Edge lanes: pinned outside the grid, carried inside it.
-              pin(dst, p, 0, inLo);
-              copyN(dst + inLo, cur + inLo, clo - inLo);
-              copyN(dst + chi, cur + chi, inHi - chi);
-              pin(dst, p, inHi, BS1);
+              // The grid-halo strips; the next tier reads no other lane
+              // outside the compute range.
+              pin(dst, p, exLo, inLo);
+              pin(dst, p, inHi, exHi);
 #ifdef _OPENMP
 #pragma omp simd
 #endif
@@ -469,8 +462,10 @@ static std::string emitBlocked3d(const std::string &Rows,
 // `out`, so the triple loop is an OpenMP worksharing loop when compiled
 // with -fopenmp (rings are per-thread). Each tier of an interior sub-plane
 // computes one branch-free lane range per blocked row as an `omp simd`
-// loop; the edge lanes around it are pinned to the input outside the grid
-// and carry the previous tier forward inside it (halo overwrite).
+// loop and pins the grid-halo rows and lanes around it to the input.
+// Nothing else is written: a tier reads only its producer's valid region
+// (AN5D-A212), so no value is carried across the halo and no lane past the
+// grid halo is ever read.
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
   const long long ns = ext[0], n1 = ext[1], n2 = ext[2];
   // Offset of cell (i, j, k) in the padded row-major grid.
@@ -491,7 +486,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 #endif
   {
     // Every tier's ring in one allocation; a plane holds one sub-plane.
+    // Zeroed once so no lane is indeterminate; each item writes every
+    // lane it reads before reading it, so items need no reset.
     Real *rings = new Real[(size_t)degree * tierSize];
+    zeroN(rings, (long long)(degree * tierSize));
     auto ring = [&](int tier, long long p) {
       long long m = p % ringDepth;
       return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * LANES;
@@ -513,20 +511,14 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
           const long long in2Lo = lmax(-lo2, 0), in2Hi = lmin(n2 - lo2, BS2);
           const long long ex1Lo = lmax(-RAD - lo1, 0), ex1Hi = lmin(n1 + RAD - lo1, BS1);
           const long long ex2Lo = lmax(-RAD - lo2, 0), ex2Hi = lmin(n2 + RAD - lo2, BS2);
-          // Pins lanes lo <= k < hi of blocked row r of sub-plane p to the
-          // input; lanes beyond the halo read as 0.
-          auto pin = [&](Real *dst, long long p, long long r, long long lo, long long hi) {
-            Real *row = dst + r * BS2;
-            const long long a = lmax(lo, ex2Lo), z = lmin(hi, ex2Hi);
-            if (r < ex1Lo || r >= ex1Hi || a >= z) {
-              zeroN(row + lo, hi - lo);
+          // Pins lanes lo <= k < hi of blocked rows r0 <= r < r1 of
+          // sub-plane p to the input.
+          auto pin = [&](Real *dst, long long p, long long r0, long long r1, long long lo, long long hi) {
+            if (lo >= hi)
               return;
-            }
-            zeroN(row + lo, a - lo);
-            copyN(row + a, in + idx(p, lo1 + r, lo2 + a), z - a);
-            zeroN(row + z, hi - z);
+            for (long long r = r0; r < r1; ++r)
+              copyN(dst + r * BS2 + lo, in + idx(p, lo1 + r, lo2 + lo), hi - lo);
           };
-          zeroN(rings, (long long)(degree * tierSize));
           const long long sBegin = c0 - (long long)degree * RAD;
           const long long sEnd = c1 - 1 + (long long)degree * RAD;
           for (long long s = sBegin; s <= sEnd; ++s) {
@@ -534,8 +526,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
               const long long lo = lmax(c0 - (long long)degree * RAD, -RAD);
               const long long hi = lmin(c1 - 1 + (long long)degree * RAD, ns - 1 + RAD);
               if (s >= lo && s <= hi)
-                for (long long r = 0; r < BS1; ++r)
-                  pin(ring(0, s), s, r, 0, BS2);
+                pin(ring(0, s), s, ex1Lo, ex1Hi, ex2Lo, ex2Hi);
             }
             for (int tier = 1; tier <= degree; ++tier) {
               const long long p = s - (long long)tier * RAD;
@@ -546,8 +537,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
                 continue;
               const bool interiorPlane = p >= 0 && p < ns;
               if (tier < degree && !interiorPlane) {
-                for (long long r = 0; r < BS1; ++r)
-                  pin(ring(tier, p), p, r, 0, BS2);
+                pin(ring(tier, p), p, ex1Lo, ex1Hi, ex2Lo, ex2Hi);
                 continue;
               }
               if (tier == degree && (!interiorPlane || p < c0 || p >= c1))
@@ -561,21 +551,13 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 )cpp" + Rows +
          R"cpp(              if (tier < degree) {
                 Real *__restrict__ dst = ring(tier, p);
-                const Real *cur = ring(tier - 1, p);
-                // Edge lanes: the whole sub-plane carried forward in one
-                // copy (cheaper than two short copies per blocked row),
-                // lanes outside the grid pinned; the compute range below
-                // overwrites its own lanes.
-                copyN(dst, cur, LANES);
-                for (long long r = 0; r < in1Lo; ++r)
-                  pin(dst, p, r, 0, BS2);
-                for (long long r = in1Hi; r < BS1; ++r)
-                  pin(dst, p, r, 0, BS2);
-                if (in2Lo > 0 || in2Hi < BS2)
-                  for (long long r = in1Lo; r < in1Hi; ++r) {
-                    pin(dst, p, r, 0, in2Lo);
-                    pin(dst, p, r, in2Hi, BS2);
-                  }
+                // The grid-halo strips: the halo rows, then the halo lanes
+                // of the interior rows. The next tier reads no other lane
+                // outside the compute range.
+                pin(dst, p, ex1Lo, in1Lo, ex2Lo, ex2Hi);
+                pin(dst, p, in1Hi, ex1Hi, ex2Lo, ex2Hi);
+                pin(dst, p, in1Lo, in1Hi, ex2Lo, in2Lo);
+                pin(dst, p, in1Lo, in1Hi, in2Hi, ex2Hi);
                 for (long long r = rlo; r < rhi; ++r) {
                   const long long base = r * BS2;
 #ifdef _OPENMP

@@ -62,7 +62,11 @@ enum class ScheduleHaloPolicy {
   /// Blocked dimensions exist (>= 2D): a tier evaluating a halo lane
   /// carries the previous tier's value for that cell instead of
   /// computing, so the register pipeline stays dense across the block
-  /// span.
+  /// span. A renderer may skip the carries AN5D-A212 proves dead: a tier
+  /// reads only its producer's valid region, so no tier reads a carried
+  /// lane. The C++ renderer skips them and pins only the grid-halo
+  /// strips; the emulator and the CUDA renderer keep them, which costs
+  /// the CUDA kernel nothing in registers.
   CarryPreviousTier,
   /// 1D pure streaming (empty bS): each lane is its own compute region,
   /// there is no spatial halo to overwrite, and only stream-boundary

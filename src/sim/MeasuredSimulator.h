@@ -11,14 +11,14 @@
 /// paper identifies when comparing Model to Tuned (Section 7.2):
 ///
 ///  * shared-memory kernels achieve only a fraction of the gpumembench
-///    bandwidth — about 67% on V100 and 49% on P100 (GpuSpec's
+///    bandwidth — 76% on V100 and 52% on P100 (GpuSpec's
 ///    SmemKernelEfficiency);
 ///  * NVCC generates inefficient code for double-precision division by a
 ///    constant (the j* stencils), capping them well below the model;
 ///  * very high register pressure (high-order 3D box stencils) degrades
 ///    achievable throughput beyond what the model sees.
 ///
-/// All deviations from real hardware are documented in EXPERIMENTS.md.
+/// README "Deviations from the paper" lists what stands in for hardware.
 ///
 /// This simulator models hardware we do not have. For measurements on
 /// hardware we *do* have, the native runtime (runtime/NativeMeasurement.h)

@@ -458,7 +458,7 @@ BlockConfig Tuner::sconf(const StencilProgram &Program) {
   } else {
     // The paper abbreviates STENCILGEN's 3D block shape; 32x32 is the
     // shape its released 3D kernels use and keeps bT=4 halos feasible for
-    // second-order stencils (interpretation documented in EXPERIMENTS.md).
+    // second-order stencils (README "Deviations from the paper").
     Config.BS = {32, 32};
     Config.HS = 0; // streaming division disabled for 3D (Section 6.3)
   }

@@ -17,7 +17,8 @@
 ///    Tuner's Native measurement backend, which compiles one kernel per
 ///    (stencil, bS);
 ///  * the vectorized 2D/3D kernels at the production flags: bit-for-bit
-///    on awkward extents, and every `omp simd` loop actually vectorized;
+///    on awkward extents, on the default pool and on one thread over rings
+///    earlier items left dirty, and every `omp simd` loop vectorized;
 ///  * the kernel ABI: `an5d_run` takes bT and hS per call, rejects values
 ///    the baked bS cannot hold without touching the buffers, and is
 ///    reentrant (concurrent runs of one loaded kernel).
@@ -105,7 +106,7 @@ BlockConfig testConfig(const StencilProgram &Program) {
 /// loaded native kernel and expects bitwise identical grids.
 template <typename T>
 void expectExecutorMatchesReference(const StencilProgram &Program,
-                                    NativeExecutor &Executor,
+                                    const NativeExecutor &Executor,
                                     const std::vector<long long> &Extents,
                                     long long Steps) {
   Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
@@ -315,7 +316,23 @@ std::vector<ProductionCase> productionCases() {
 } // namespace
 
 class NativeProductionFlags
-    : public ::testing::TestWithParam<ProductionCase> {};
+    : public ::testing::TestWithParam<ProductionCase> {
+protected:
+  /// Runs every extent and step count of the case through \p Executor.
+  void expectCaseMatches(const StencilProgram &Program,
+                         const NativeExecutor &Executor) {
+    const ProductionCase &Case = GetParam();
+    for (const std::vector<long long> &Extents : Case.Extents)
+      for (long long Steps : Case.Steps) {
+        if (Case.Type == ScalarType::Float)
+          expectExecutorMatchesReference<float>(Program, Executor, Extents,
+                                                Steps);
+        else
+          expectExecutorMatchesReference<double>(Program, Executor, Extents,
+                                                 Steps);
+      }
+  }
+};
 
 TEST_P(NativeProductionFlags, MatchesReferenceOnAwkwardExtents) {
   const ProductionCase &Case = GetParam();
@@ -326,15 +343,30 @@ TEST_P(NativeProductionFlags, MatchesReferenceOnAwkwardExtents) {
   // One compile serves every extent and step count below.
   NativeExecutor Executor(*Program, Case.Config, Options);
   ASSERT_TRUE(Executor.ok()) << Executor.error();
-  for (const std::vector<long long> &Extents : Case.Extents)
-    for (long long Steps : Case.Steps) {
-      if (Case.Type == ScalarType::Float)
-        expectExecutorMatchesReference<float>(*Program, Executor, Extents,
-                                              Steps);
-      else
-        expectExecutorMatchesReference<double>(*Program, Executor, Extents,
-                                               Steps);
-    }
+  expectCaseMatches(*Program, Executor);
+}
+
+/// The same cases on one thread. A kernel zeroes each thread's rings once,
+/// not per (chunk, block) item, so one thread walks every item on rings
+/// the previous item left dirty: a ring lane some tier reads before the
+/// item wrote it shows up here as a mismatch.
+TEST_P(NativeProductionFlags, MatchesReferenceOnOneThreadOverDirtyRings) {
+  const ProductionCase &Case = GetParam();
+  auto Program = makeBenchmarkStencil(Case.Name, Case.Type);
+  ASSERT_NE(Program, nullptr);
+  NativeRuntimeOptions Options;
+  Options.CacheDir = sharedCacheDir();
+  NativeExecutor Pooled(*Program, Case.Config, Options);
+  Options.Threads = 1;
+  NativeExecutor Single(*Program, Case.Config, Options);
+  ASSERT_TRUE(Pooled.ok()) << Pooled.error();
+  ASSERT_TRUE(Single.ok()) << Single.error();
+  EXPECT_EQ(Single.cacheKey(), Pooled.cacheKey())
+      << "the thread count must not reach the kernel source";
+  const int Ambient = Pooled.kernelMaxThreads();
+  expectCaseMatches(*Program, Single);
+  EXPECT_EQ(Single.kernelMaxThreads(), 1);
+  Single.pinKernelThreads(Ambient);
 }
 
 INSTANTIATE_TEST_SUITE_P(
