@@ -50,8 +50,9 @@ static std::string laneOffset(int Count, const std::string &Unit) {
 
 /// The update expression of the 2D/3D compute loops: the read of plane
 /// p+ds at blocked offset (d1[, d2]) indexes the restrict ring row
-/// row<ds+RAD> at `lane` plus the offset, so the loop body is one
-/// inlinable expression (no per-lane closure the vectorizer must spill).
+/// row<ds+RAD> at `lane` plus the offset (in 3D, d1 rows of W2 lanes), so
+/// the loop body is one inlinable expression (no per-lane closure the
+/// vectorizer must spill).
 static std::string emitLaneUpdate(const StencilProgram &Program, int Rad,
                                   CppEmitMode Mode) {
   return emitUpdateExpr(Program, Mode, [Rad](const GridReadExpr &Read) {
@@ -60,7 +61,7 @@ static std::string emitLaneUpdate(const StencilProgram &Program, int Rad,
     if (Off.size() == 2)
       Out += laneOffset(Off[1], "");
     else
-      Out += laneOffset(Off[1], "BS2") + laneOffset(Off[2], "");
+      Out += laneOffset(Off[1], "W2") + laneOffset(Off[2], "");
     return Out + "]";
   });
 }
@@ -453,7 +454,8 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 
 /// The blocked invocation for 3D stencils (two blocked dimensions). Lanes
 /// are row-major over the blocked axes, so the compute loops run per
-/// blocked row over the contiguous bS2 axis.
+/// blocked row over the contiguous bS2 axis; a ring row is W2 lanes long,
+/// bS2 clipped to the lanes a block of the run can touch.
 static std::string emitBlocked3d(const std::string &Rows,
                                  const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
@@ -479,7 +481,12 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
   const long long chunkLen = hs > 0 ? hs : ns;
   const long long nchunks = (ns + chunkLen - 1) / chunkLen;
   const int ringDepth = 2 * RAD + 1;
-  const long long LANES = (long long)BS1 * BS2;
+  // A ring row holds the lanes of a blocked row that a block can touch:
+  // BS2, or the n2 + 2*degree*RAD lanes of a block that spans the row.
+  // No tier reads or writes a lane past the grid halo, so a shorter row
+  // drops only storage the kernel never used.
+  const long long W2 = lmin(BS2, n2 + 2LL * degree * RAD);
+  const long long LANES = (long long)BS1 * W2;
   const size_t tierSize = (size_t)(ringDepth * LANES);
 #ifdef _OPENMP
 #pragma omp parallel
@@ -517,7 +524,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
             if (lo >= hi)
               return;
             for (long long r = r0; r < r1; ++r)
-              copyN(dst + r * BS2 + lo, in + idx(p, lo1 + r, lo2 + lo), hi - lo);
+              copyN(dst + r * W2 + lo, in + idx(p, lo1 + r, lo2 + lo), hi - lo);
           };
           const long long sBegin = c0 - (long long)degree * RAD;
           const long long sEnd = c1 - 1 + (long long)degree * RAD;
@@ -559,7 +566,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
                 pin(dst, p, in1Lo, in1Hi, ex2Lo, in2Lo);
                 pin(dst, p, in1Lo, in1Hi, in2Hi, ex2Hi);
                 for (long long r = rlo; r < rhi; ++r) {
-                  const long long base = r * BS2;
+                  const long long base = r * W2;
 #ifdef _OPENMP
 #pragma omp simd
 #endif
@@ -569,7 +576,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
                 }
               } else {
                 for (long long r = rlo; r < rhi; ++r) {
-                  const long long base = r * BS2;
+                  const long long base = r * W2;
                   Real *__restrict__ dst = out + idx(p, lo1 + r, 0);
 #ifdef _OPENMP
 #pragma omp simd

@@ -53,26 +53,43 @@ std::vector<BlockConfig> streamingGrid() {
 
 /// The native menu: blocks sized for a CPU core rather than a thread
 /// block. The contiguous axis (the last bS) stays long so the `omp simd`
-/// rows run whole vectors, and no thread cap applies. bT and hS keep the
+/// rows run whole vectors, and no thread cap applies. In 3D it is 512
+/// lanes, so one block spans every row of up to 512 - 2*bT*radius cells:
+/// such a row has no overhanging block, recomputes no halo lanes along
+/// the unit-stride axis and ends in one remainder. bT and hS keep the
 /// Section 6.3 ranges.
 std::vector<BlockConfig> hostMenu(int NumDims) {
   if (NumDims == 2)
     return crossProduct(16, {{256}, {512}, {1024}, {2048}},
                         {256, 512, 1024});
-  if (NumDims == 3) {
-    std::vector<std::vector<int>> Shapes;
-    for (int Rows : {8, 16, 32, 64})
-      for (int Contiguous : {64, 128, 256})
-        Shapes.push_back({Rows, Contiguous});
-    return crossProduct(8, Shapes, {128, 256});
-  }
+  if (NumDims == 3)
+    return crossProduct(8, {{8, 512}, {16, 512}, {32, 512}, {64, 512}},
+                        {128, 256});
   return streamingGrid();
 }
 
-/// Most ring bytes per kernel thread a native candidate may allocate:
-/// bT * (2*radius + 1) * prod(bS) * element bytes. It keeps every thread's
-/// rings within its share of L2 and bounds the tune's memory.
+/// Most ring bytes per kernel thread a native candidate may allocate on
+/// the ranked problem: bT * (2*radius + 1) * prod(bS) * element bytes,
+/// with the contiguous 3D axis clipped as the kernel sizes its ring rows,
+/// to min(bS2, N2 + 2*bT*radius). It keeps every thread's rings within
+/// its share of L2 and bounds the tune's memory. Ranked on 64-cell rows
+/// (nativeMeasurementProblem), a 3D ring grows at most 512/64 = 8 times
+/// on longer rows, to 2 MiB.
 constexpr long long HostRingBudgetBytes = 256 * 1024;
+
+/// The ring bytes per kernel thread \p Config allocates on \p Problem.
+long long hostRingBytes(const StencilProgram &Program,
+                        const BlockConfig &Config,
+                        const ProblemSize &Problem) {
+  long long Lanes = Config.numThreads();
+  if (Config.BS.size() == 2)
+    Lanes = Config.BS[0] *
+            std::min<long long>(Config.BS[1],
+                                Problem.Extents[2] +
+                                    2LL * Config.BT * Program.radius());
+  return Config.BT * (2LL * Program.radius() + 1) * Lanes *
+         Program.wordSize();
+}
 
 /// Sum of Weight(span) over the tiles [o, o + Width) that cover
 /// [0, Extent), where span is the length of [o - Reach, o + Width + Reach)
@@ -99,10 +116,11 @@ long long sumOverTiles(long long Extent, long long Width, long long Reach,
 ///    rows, tiers, blocks and chunks is divided by the thread balance
 ///    of the (chunk, block) work items;
 ///  - memory: 0.02 per byte moved, at 2 * element bytes per loaded cell.
-///    The load stage fills every lane of a block's span, in the grid or
-///    not, on each plane of its chunk widened by d*radius (clipped to the
-///    grid and its halo), so the load redundancy of the overlapped tiling,
-///    oversized blocks and the 1/d amortization all show.
+///    The load stage copies each block's span clipped to the grid and its
+///    halo, on each plane of its chunk widened by d*radius (clipped the
+///    same way), so the load redundancy of the overlapped tiling and the
+///    1/d amortization show, and a block wider than the grid loads only
+///    the grid.
 ///
 /// Runs the step count makes identical (bT past the steps, hS past the
 /// streamed extent) cost exactly the same.
@@ -132,9 +150,9 @@ double hostCost(const StencilProgram &Program, const BlockConfig &Config,
     std::vector<long long> Width(Blocked);
     for (std::size_t A = 0; A < Blocked; ++A) {
       Width[A] = Config.BS[A] - 2 * D * Radius;
-      const long long Blocks = (N[A + 1] + Width[A] - 1) / Width[A];
-      Items *= Blocks;
-      Loaded *= Blocks * Config.BS[A];
+      Items *= (N[A + 1] + Width[A] - 1) / Width[A];
+      Loaded *= sumOverTiles(N[A + 1], Width[A], D * Radius, -Radius,
+                             N[A + 1] + Radius, Cells);
     }
     long long Work = 0;
     for (long long Tier = 1; Tier <= D; ++Tier) {
@@ -232,14 +250,12 @@ std::vector<RankedConfig> Tuner::rankByHostCost(const StencilProgram &Program,
       std::any_of(Problem.Extents.begin(), Problem.Extents.end(),
                   [](long long E) { return E < 1; }))
     return {};
-  const long long RingDepth = 2LL * Program.radius() + 1;
   const long long StreamExtent = Problem.Extents.front();
   std::set<std::pair<int, std::vector<int>>> OneChunk;
   std::vector<RankedConfig> Ranked;
   for (const BlockConfig &Config : hostMenu(Program.numDims())) {
     if (!Config.isFeasible(Program.radius()) ||
-        Config.BT * RingDepth * Config.numThreads() * Program.wordSize() >
-            HostRingBudgetBytes)
+        hostRingBytes(Program, Config, Problem) > HostRingBudgetBytes)
       continue;
     // Every hS at or above the streamed extent runs the same single
     // chunk: time it once.

@@ -16,14 +16,16 @@
 ///     device's thread cap, and ranks the rest with the Section 5
 ///     performance model of the target GPU (rankByModel). Native tunes
 ///     rank a host menu instead (rankByHostCost): 2D bS in
-///     {256,...,2048}, 3D bS1 in {8,16,32,64} by a contiguous bS2 in
-///     {64,128,256}, no thread cap, at most 256 KiB of rings per
-///     thread, one candidate per run that is a single chunk on the
-///     tune problem, scored by a CPU cost of SIMD rows, thread balance
-///     and memory traffic. Each ranked candidate is lowered to its
-///     ScheduleIR once, and the standard analysis pipeline
-///     (analysis/passes/AnalysisPass.h) is the one static gate: a
-///     candidate with an Error finding never reaches stage 2.
+///     {256,...,2048}, 3D bS1 in {8,16,32,64} by a contiguous bS2 of 512
+///     (one block spans each row of the tune problem), no thread cap, at
+///     most 256 KiB of rings per thread as the kernel allocates them on
+///     the tune problem, one candidate per run that is a single chunk on
+///     the tune problem, scored by a CPU cost of SIMD rows, thread
+///     balance and the cells the load stage copies. Each ranked
+///     candidate is lowered to its ScheduleIR once, and the standard
+///     analysis pipeline (analysis/passes/AnalysisPass.h) is the one
+///     static gate: a candidate with an Error finding never reaches
+///     stage 2.
 ///
 ///  2. Measured sweep: "run" the top-K candidates through the
 ///     measured-performance simulator with each register cap

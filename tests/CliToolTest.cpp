@@ -249,12 +249,19 @@ TEST(CliTool, EmitOmpWritesKernelLibrary) {
 }
 
 TEST(CliTool, VerifyNativeMatchesReference) {
+  // Two problems, one line each: 2*cw+3 = 59 columns cross three blocks,
+  // cw-1 = 27 fit one (cw = 32 - 2*2*1); both have 2*hS+3 rows and 2*bT+1
+  // steps.
   auto [Code, Output] = runCommand(
       an5dc() + " --benchmark j2d5pt --bt 2 --bs 32 --hs 8 --kernel-cache " +
       sharedKernelCache() + " --verify-native");
   EXPECT_EQ(Code, 0) << Output;
-  EXPECT_NE(Output.find("native == reference (bitwise)"), std::string::npos)
-      << Output;
+  for (const char *Problem : {"19x59 IT=5", "19x27 IT=5"})
+    EXPECT_NE(Output.find(std::string("verify-native (bT=2 bS=32 hS=8, ") +
+                          Problem + "): native == reference (bitwise)"),
+              std::string::npos)
+        << Problem << ":\n"
+        << Output;
 }
 
 TEST(CliTool, HostOnlyBlockReachesEveryCpuOutput) {
@@ -326,11 +333,14 @@ TEST(CliTool, TuneWithNativeMeasurement) {
 }
 
 TEST(CliTool, VerifyNative1dMatchesReference) {
+  // No blocked axis, so no one-block problem: a single verify-native line.
   auto [Code, Output] = runCommand(
       an5dc() + " --benchmark j1d3pt --bt 3 --hs 16 --kernel-cache " +
       sharedKernelCache() + " --verify-native");
   EXPECT_EQ(Code, 0) << Output;
   EXPECT_NE(Output.find("native == reference (bitwise)"), std::string::npos)
+      << Output;
+  EXPECT_EQ(Output.find("verify-native"), Output.rfind("verify-native"))
       << Output;
 }
 

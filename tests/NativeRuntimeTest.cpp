@@ -302,6 +302,20 @@ std::vector<ProductionCase> productionCases() {
       {"star3d1r", ScalarType::Float, productionConfig(4, {32, 128}, 5),
        "host_block",
        {{9, 20, 90}, {5, 1, 1}, {7, 25, 121}, {11, 30, 37}}, {3, 9}},
+      // The host menu's 512-lane rows: one block spans a row of up to cw2
+      // cells, and its ring rows shrink to the row and its halo (90 + 8,
+      // 37 + 8, 503 + 8 lanes at degree 4). A row of cw2 + 1 = 505 cells
+      // runs a second, one-lane block on full-width rows.
+      // cw = (32, 512) - 2*4*1 = (24, 504).
+      {"star3d1r", ScalarType::Float, productionConfig(4, {32, 512}, 5),
+       "row_block",
+       {{9, 20, 90}, {5, 1, 1}, {7, 25, 505}, {11, 30, 37}, {4, 3, 503}},
+       {3, 9}},
+      // Box taps read the row above and below at the clipped row stride.
+      // cw = (16, 512) - 2*3*1 = (10, 506).
+      {"j3d27pt", ScalarType::Double, productionConfig(3, {16, 512}, 3),
+       "row_block",
+       {{7, 5, 9}, {4, 1, 1}, {5, 11, 507}, {9, 17, 45}}, {4, 5}},
       // sqrt and division: correctly rounded in every vector ISA.
       {"gradient2d", ScalarType::Float, productionConfig(3, {32}, 7), "",
        {{17, 19}, {9, 1}, {12, 27}, {23, 55}}, {2, 7}},
@@ -970,7 +984,13 @@ TEST(NativeMeasurement, ColdTuneCompilesOncePerBlockSize) {
     Registry.reset();
     TuneOutcome Outcome = T.tune(*Program, Problem, Options);
     ASSERT_TRUE(Outcome.Feasible);
-    ASSERT_EQ(Outcome.TopByModel.size(), Options.TopK);
+    // The radius-4 3D stencils run out of host-menu candidates: the four
+    // 512-lane shapes and the ring budget leave them six here.
+    const std::size_t Timed = Outcome.TopByModel.size();
+    if (Name == "star3d4r" || Name == "box3d4r")
+      EXPECT_LT(Timed, Options.TopK);
+    else
+      ASSERT_EQ(Timed, Options.TopK);
     EXPECT_EQ(Outcome.MeasurementFailures, 0u);
     EXPECT_EQ(Outcome.AnalysisRejections, 0u);
     std::set<std::vector<int>> Shapes;
@@ -979,7 +999,7 @@ TEST(NativeMeasurement, ColdTuneCompilesOncePerBlockSize) {
     const long long Distinct = static_cast<long long>(Shapes.size());
     EXPECT_EQ(Registry.counterValue("kernel_cache.misses"), Distinct);
     EXPECT_EQ(Registry.counterValue("kernel_cache.hits"),
-              static_cast<long long>(Options.TopK) - Distinct);
+              static_cast<long long>(Timed) - Distinct);
     if (Name == "j2d5pt" || Program->numDims() == 1)
       EXPECT_EQ(Distinct, 1);
   }

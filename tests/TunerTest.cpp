@@ -348,17 +348,33 @@ TEST(HostRanking, PropertiesOnTheNativeTuneProblem) {
           EXPECT_TRUE(Runs.insert({C.BS, C.BT, Chunk}).second)
               << C.toString();
 
-          if (!C.BS.empty())
+          // 2D rows stay several vectors long; in 3D one 512-lane block
+          // spans every row of the tune problem, and the ring budget
+          // counts the clipped rows the kernel allocates.
+          long long Lanes = C.numThreads();
+          if (C.BS.size() == 1)
             EXPECT_GE(C.BS.back(), 64) << C.toString();
-          const long long RingBytes = C.BT * (2LL * P->radius() + 1) *
-                                      C.numThreads() * P->wordSize();
+          if (C.BS.size() == 2) {
+            EXPECT_EQ(C.BS.back(), 512) << C.toString();
+            Lanes = C.BS[0] * std::min<long long>(C.BS[1],
+                                                  Problem.Extents[2] +
+                                                      2LL * C.BT *
+                                                          P->radius());
+          }
+          const long long RingBytes =
+              C.BT * (2LL * P->radius() + 1) * Lanes * P->wordSize();
           EXPECT_LE(RingBytes, 256 * 1024) << C.toString();
         }
       }
-  // Only the radius-4 3D stencils in double run out: 256 KiB of rings
-  // leave them bT = 1 on 16x64, 16x128 and 32x64.
-  EXPECT_EQ(RanOut,
-            (std::set<std::string>{"box3d4r double", "star3d4r double"}));
+  // The 3D menu has four shapes, all 512 lanes wide. The radius-3 and -4
+  // 3D stencils, and the radius-2 ones in double, run out: 256 KiB of
+  // rings on 64-cell rows leave radius 4 in double bT = 1 on 16x512 and
+  // 32x512.
+  EXPECT_EQ(RanOut, (std::set<std::string>{
+                        "box3d2r double", "box3d3r double", "box3d3r float",
+                        "box3d4r double", "box3d4r float", "star3d2r double",
+                        "star3d3r double", "star3d3r float",
+                        "star3d4r double", "star3d4r float"}));
 }
 
 TEST(HostRanking, NativeTunesMeasureTheHostRanking) {

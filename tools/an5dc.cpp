@@ -58,7 +58,8 @@
 ///   --verify             run the blocked emulator vs the reference
 ///   --verify-native      compile the native kernel and check it against
 ///                        the reference bit for bit, on a problem sized
-///                        to cross block, chunk and invocation seams
+///                        to cross block, chunk and invocation seams and
+///                        on one with a single block per blocked axis
 ///   --run-native         compile (or fetch from cache), load and time the
 ///                        native kernel on a CPU-sized problem
 ///   --kernel-cache DIR   kernel-cache directory (default: see README)
@@ -417,38 +418,42 @@ BlockConfig verificationConfig(const StencilProgram &Program,
   return Small;
 }
 
-/// The --verify-native problem, sized from the configuration so the check
-/// crosses the seams a production run crosses: 2*cw+3 cells per blocked
-/// axis (cw = bS - 2*bT*RAD, so three blocks, the last one partial),
-/// 2*hS+3 planes on the streaming axis when hS > 0 (three chunks), and
-/// 2*bT+1 steps (two full-degree invocations plus a remainder).
-ProblemSize nativeVerificationProblem(const StencilProgram &Program,
-                                      const BlockConfig &Config) {
-  ProblemSize Problem;
+/// The --verify-native problems, sized from the configuration so the
+/// checks cross the seams a production run crosses. Both have 2*hS+3
+/// planes on the streaming axis when hS > 0 (three chunks) and 2*bT+1
+/// steps (two full-degree invocations plus a remainder). The first has
+/// 2*cw+3 cells per blocked axis (cw = bS - 2*bT*RAD, so three blocks, the
+/// last one partial). With blocked axes there is a second with cw - 1
+/// cells per blocked axis (at least 1): one block spans each axis, as on
+/// the rows of a tuned 512-wide 3D block, so the ring rows are clipped.
+std::vector<ProblemSize>
+nativeVerificationProblems(const StencilProgram &Program,
+                           const BlockConfig &Config) {
+  ProblemSize Seams, OneBlock;
   const long long DefaultStream[] = {193, 97, 33};
-  Problem.Extents.push_back(Config.HS > 0
-                                ? 2LL * Config.HS + 3
-                                : DefaultStream[Program.numDims() - 1]);
+  Seams.Extents.push_back(Config.HS > 0
+                              ? 2LL * Config.HS + 3
+                              : DefaultStream[Program.numDims() - 1]);
+  OneBlock.Extents = Seams.Extents;
   for (int BS : Config.BS) {
     long long ComputeWidth = BS - 2LL * Config.BT * Program.radius();
-    Problem.Extents.push_back(2 * ComputeWidth + 3);
+    Seams.Extents.push_back(2 * ComputeWidth + 3);
+    OneBlock.Extents.push_back(std::max(ComputeWidth - 1, 1LL));
   }
-  Problem.TimeSteps = 2LL * Config.BT + 1;
-  return Problem;
+  Seams.TimeSteps = OneBlock.TimeSteps = 2LL * Config.BT + 1;
+  if (Config.BS.empty())
+    return {Seams};
+  return {Seams, OneBlock};
 }
 
-/// Verifies the compiled native kernel against the reference bit for bit.
-/// Unlike --verify this runs the *actual* configuration — the native
-/// kernel handles production-sized blocks without shrinking.
+/// Runs the compiled native kernel on \p Problem and compares it with the
+/// reference bit for bit. Unlike --verify this runs the *actual*
+/// configuration — the native kernel handles production-sized blocks
+/// without shrinking.
 template <typename T>
-bool verifyNativeKernel(const StencilProgram &Program,
-                        const BlockConfig &Config, const ProblemSize &Problem,
-                        const NativeRuntimeOptions &NativeOpts) {
-  NativeExecutor Executor(Program, Config, NativeOpts);
-  if (!Executor.ok()) {
-    std::fprintf(stderr, "an5dc: %s\n", Executor.error().c_str());
-    return false;
-  }
+bool nativeMatchesReference(const StencilProgram &Program,
+                            const NativeExecutor &Executor,
+                            const ProblemSize &Problem) {
   const std::vector<long long> &Extents = Problem.Extents;
   const long long Steps = Problem.TimeSteps;
   Grid<T> Ref0(Extents, Program.radius()), Ref1(Extents, Program.radius());
@@ -938,16 +943,25 @@ int main(int Argc, char **Argv) {
   }
 
   if (Options.VerifyNative) {
-    const ProblemSize Problem = nativeVerificationProblem(*Program, Config);
-    bool Ok = Program->elemType() == ScalarType::Float
-                  ? verifyNativeKernel<float>(*Program, Config, Problem,
-                                              Options.NativeOpts)
-                  : verifyNativeKernel<double>(*Program, Config, Problem,
-                                               Options.NativeOpts);
-    std::printf("verify-native (%s, %s): %s\n", Config.toString().c_str(),
-                Problem.toString().c_str(),
-                Ok ? "native == reference (bitwise)" : "MISMATCH");
-    if (!Ok)
+    NativeExecutor Executor(*Program, Config, Options.NativeOpts);
+    if (!Executor.ok()) {
+      std::fprintf(stderr, "an5dc: %s\n", Executor.error().c_str());
+      return 1;
+    }
+    bool AllOk = true;
+    for (const ProblemSize &Problem :
+         nativeVerificationProblems(*Program, Config)) {
+      bool Ok = Program->elemType() == ScalarType::Float
+                    ? nativeMatchesReference<float>(*Program, Executor,
+                                                    Problem)
+                    : nativeMatchesReference<double>(*Program, Executor,
+                                                     Problem);
+      std::printf("verify-native (%s, %s): %s\n", Config.toString().c_str(),
+                  Problem.toString().c_str(),
+                  Ok ? "native == reference (bitwise)" : "MISMATCH");
+      AllOk = AllOk && Ok;
+    }
+    if (!AllOk)
       return 1;
   }
 
