@@ -30,8 +30,7 @@
 /// (preserving line structure) and matches tokens, which is exactly as
 /// strong as the emitters' determinism allows and keeps it dependency-
 /// free. It runs over all goldens in the test suite and over every JIT
-/// candidate when NativeRuntimeOptions::LintKernels (or the
-/// AN5D_LINT_KERNELS environment variable) is set.
+/// candidate when NativeRuntimeOptions::LintKernels (an5dc --lint) is set.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -107,7 +107,9 @@ static std::string emitPrelude(const StencilProgram &Program,
   Out += "#include <cstring>\n";
   if (Check)
     Out += "#include <vector>\n";
-  else
+  // The 1D kernel library sizes its pool through omp.h; every 2D/3D TU
+  // splits its stream axis by the pool size.
+  if (!Check || NumDims >= 2)
     Out += "#ifdef _OPENMP\n#include <omp.h>\n#endif\n";
   Out += "\n";
   Out += "using Real = " + std::string(scalarTypeName(Program.elemType())) +
@@ -178,6 +180,33 @@ static std::string emitPrelude(const StencilProgram &Program,
          "{\n"
          "  if (n > 0) std::memcpy(dst, src, (size_t)n * sizeof(Real));\n"
          "}\n\n";
+  if (NumDims >= 2)
+    Out += "// How many stream chunks a call splits ns planes into: enough "
+           "that none\n"
+           "// is longer than hs (0: no maximum) and, while ns allows, one "
+           "per kernel\n"
+           "// thread, so every thread has an item from the start.\n"
+           "static inline long long streamChunks(long long ns, long long hs) "
+           "{\n"
+           "#ifdef _OPENMP\n"
+           "  const long long threads = omp_get_max_threads();\n"
+           "#else\n"
+           "  const long long threads = 1;\n"
+           "#endif\n"
+           "  return lmin(ns, lmax(hs > 0 ? (ns + hs - 1) / hs : 1, "
+           "threads));\n"
+           "}\n"
+           "// Chunk c of n holds planes c0 <= p < c1: the chunks cover the "
+           "ns planes\n"
+           "// in order, without a gap or an overlap, and their lengths "
+           "differ by at\n"
+           "// most one plane.\n"
+           "static inline void chunkBounds(long long c, long long n, long "
+           "long ns,\n"
+           "                               long long *c0, long long *c1) {\n"
+           "  *c0 = c * ns / n;\n"
+           "  *c1 = (c + 1) * ns / n;\n"
+           "}\n\n";
 
   // 2D/3D kernel libraries inline the update into their compute loops;
   // the check program's reference and the 1D kernel evaluate it here.
@@ -339,14 +368,16 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 static std::string emitBlocked2d(const std::string &Rows,
                                  const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
-// over the grid `ext` with stream chunk `hs`. Every (chunk, block) pair
-// reads only `in` plus its own rings and writes a disjoint region of
-// `out`, so the pair loop is an OpenMP worksharing loop when compiled with
-// -fopenmp (rings are per-thread). Each tier of an interior sub-plane
-// computes one branch-free lane range as an `omp simd` loop and pins the
-// grid-halo lanes around it to the input. Nothing else is written: a tier
-// reads only its producer's valid region (AN5D-A212), so no value is
-// carried across the halo and no lane past the grid halo is ever read.
+// over the grid `ext` with stream chunks of at most `hs` planes. Every
+// (chunk, block) pair reads only `in` plus its own rings and writes a
+// disjoint region of `out`, so the pair loop is an OpenMP worksharing loop
+// when compiled with -fopenmp (rings are per-thread); it hands the pairs
+// out dynamically, so a thread that finishes a short one takes the next.
+// Each tier of an interior sub-plane computes one branch-free lane range
+// as an `omp simd` loop and pins the grid-halo lanes around it to the
+// input. Nothing else is written: a tier reads only its producer's valid
+// region (AN5D-A212), so no value is carried across the halo and no lane
+// past the grid halo is ever read.
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
   const long long ns = ext[0], n1 = ext[1];
   // Offset of cell (i, j) in the padded row-major grid.
@@ -355,8 +386,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
   };
   const long long cw = BS1 - 2LL * degree * RAD; // compute-region width
   const long long nblocks = (n1 + cw - 1) / cw;
-  const long long chunkLen = hs > 0 ? hs : ns;
-  const long long nchunks = (ns + chunkLen - 1) / chunkLen;
+  const long long nchunks = streamChunks(ns, hs);
   const int ringDepth = 2 * RAD + 1;
   const size_t tierSize = (size_t)ringDepth * BS1;
 #ifdef _OPENMP
@@ -373,12 +403,12 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
       return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * BS1;
     };
 #ifdef _OPENMP
-#pragma omp for collapse(2) schedule(static)
+#pragma omp for collapse(2) schedule(dynamic)
 #endif
     for (long long chunk = 0; chunk < nchunks; ++chunk)
       for (long long b = 0; b < nblocks; ++b) {
-        const long long c0 = chunk * chunkLen;
-        const long long c1 = lmin(c0 + chunkLen, ns);
+        long long c0, c1;
+        chunkBounds(chunk, nchunks, ns, &c0, &c1);
         const long long origin = b * cw;
         const long long spanLo = origin - (long long)degree * RAD;
         // Lanes inLo <= lane < inHi lie inside the grid, exLo <= lane <
@@ -459,15 +489,16 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 static std::string emitBlocked3d(const std::string &Rows,
                                  const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
-// over the grid `ext` with stream chunk `hs`. Every (chunk, block) triple
-// reads only `in` plus its own rings and writes a disjoint region of
-// `out`, so the triple loop is an OpenMP worksharing loop when compiled
-// with -fopenmp (rings are per-thread). Each tier of an interior sub-plane
-// computes one branch-free lane range per blocked row as an `omp simd`
-// loop and pins the grid-halo rows and lanes around it to the input.
-// Nothing else is written: a tier reads only its producer's valid region
-// (AN5D-A212), so no value is carried across the halo and no lane past the
-// grid halo is ever read.
+// over the grid `ext` with stream chunks of at most `hs` planes. Every
+// (chunk, block) triple reads only `in` plus its own rings and writes a
+// disjoint region of `out`, so the triple loop is an OpenMP worksharing
+// loop when compiled with -fopenmp (rings are per-thread); it hands the
+// triples out dynamically, so a thread that finishes a short one takes the
+// next. Each tier of an interior sub-plane computes one branch-free lane
+// range per blocked row as an `omp simd` loop and pins the grid-halo rows
+// and lanes around it to the input. Nothing else is written: a tier reads
+// only its producer's valid region (AN5D-A212), so no value is carried
+// across the halo and no lane past the grid halo is ever read.
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
   const long long ns = ext[0], n1 = ext[1], n2 = ext[2];
   // Offset of cell (i, j, k) in the padded row-major grid.
@@ -478,8 +509,7 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
   const long long cw2 = BS2 - 2LL * degree * RAD;
   const long long nb1 = (n1 + cw1 - 1) / cw1;
   const long long nb2 = (n2 + cw2 - 1) / cw2;
-  const long long chunkLen = hs > 0 ? hs : ns;
-  const long long nchunks = (ns + chunkLen - 1) / chunkLen;
+  const long long nchunks = streamChunks(ns, hs);
   const int ringDepth = 2 * RAD + 1;
   // A ring row holds the lanes of a blocked row that a block can touch:
   // BS2, or the n2 + 2*degree*RAD lanes of a block that spans the row.
@@ -502,13 +532,13 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
       return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * LANES;
     };
 #ifdef _OPENMP
-#pragma omp for collapse(3) schedule(static)
+#pragma omp for collapse(3) schedule(dynamic)
 #endif
     for (long long chunk = 0; chunk < nchunks; ++chunk)
       for (long long b1 = 0; b1 < nb1; ++b1)
         for (long long b2 = 0; b2 < nb2; ++b2) {
-          const long long c0 = chunk * chunkLen;
-          const long long c1 = lmin(c0 + chunkLen, ns);
+          long long c0, c1;
+          chunkBounds(chunk, nchunks, ns, &c0, &c1);
           const long long o1 = b1 * cw1, o2 = b2 * cw2;
           const long long lo1 = o1 - (long long)degree * RAD;
           const long long lo2 = o2 - (long long)degree * RAD;
@@ -669,9 +699,15 @@ static std::string emitKernelApi(const StencilProgram &Program) {
          "  (void)n;\n"
          "#endif\n"
          "}\n\n";
-  Out += "// Runs `it` time-steps of the blocked N.5D schedule in temporal\n"
-         "// blocks of `bt` steps and stream chunks of `hs` planes (0: one\n"
-         "// chunk). buf0 holds the input at t=0; both buffers use the padded\n"
+  Out += "// Runs `it` time-steps of the blocked N.5D schedule in temporal\n";
+  if (NumDims == 1)
+    Out += "// blocks of `bt` steps and stream chunks of `hs` planes (0: one\n"
+           "// chunk). ";
+  else
+    Out += "// blocks of `bt` steps and stream chunks of at most `hs` planes (0: no\n"
+           "// maximum), at least one per kernel thread while the streamed extent\n"
+           "// allows. ";
+  Out += "buf0 holds the input at t=0; both buffers use the padded\n"
          "// row-major layout with a halo of RAD cells per side of every\n"
          "// dimension in `extents` (streaming dimension first). The result\n"
          "// of step `it` ends in buf{it % 2}, exactly as the double-buffered\n"

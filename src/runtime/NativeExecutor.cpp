@@ -13,20 +13,9 @@
 #include "runtime/NativeCompiler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 namespace an5d {
-
-namespace {
-
-/// True when AN5D_LINT_KERNELS asks for process-wide kernel linting.
-bool lintRequestedByEnvironment() {
-  const char *Env = std::getenv("AN5D_LINT_KERNELS");
-  return Env && *Env && std::string(Env) != "0";
-}
-
-} // namespace
 
 NativeExecutor::NativeExecutor(const StencilProgram &Program,
                                const BlockConfig &Config,
@@ -66,7 +55,7 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
   }
 
   std::string Source = generateCppKernelLibrary(Program, Schedule);
-  if (Options.LintKernels || lintRequestedByEnvironment()) {
+  if (Options.LintKernels) {
     LintReport Report = lintTranslationUnit(Source, LintTarget::KernelLibrary,
                                             Program.elemType());
     if (!Report.clean()) {

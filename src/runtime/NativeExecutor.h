@@ -30,7 +30,7 @@
 ///
 /// A library bakes in the stencil, its element type and bS, nothing else:
 /// extents, step count, the temporal block bT and the stream chunk hS
-/// (0 = one chunk) are arguments of every an5d_run call, so all
+/// are arguments of every an5d_run call, so all
 /// configurations of a tune that share a bS load one compiled kernel.
 /// an5d_run returns 0 on success and non-zero, before touching either
 /// buffer, on bad arguments: null or identical buffers (the blocked
@@ -39,6 +39,13 @@
 /// (bS - 2*bt*radius < 1 on some blocked axis). The library keeps no
 /// file-scope state, so concurrent calls — into one loaded kernel or
 /// several — are safe.
+///
+/// hS bounds the stream chunks a call runs. The 1D kernel cuts chunks of
+/// hS planes (0: one chunk). The 2D/3D kernels split the streamed axis
+/// into near-equal chunks of at most hS planes (0: no maximum) and, while
+/// the extent allows, at least one per kernel thread, and hand the
+/// (chunk, block) items out dynamically, so every thread has work from the
+/// start on any grid.
 ///
 /// Both buffers are padded row-major grids with a halo of radius cells per
 /// side of every dimension in `extents` (streaming dimension first) —
@@ -87,9 +94,7 @@ struct NativeRuntimeOptions {
 
   /// Lint the generated translation unit (analysis/KernelLint.h) before
   /// compiling and fail the executor on any finding — a debug gate for
-  /// codegen changes. The AN5D_LINT_KERNELS environment variable (any
-  /// non-empty value except "0") enables it process-wide; an5dc --lint
-  /// sets it per run.
+  /// codegen changes; an5dc --lint sets it per run.
   bool LintKernels = false;
 };
 
@@ -195,7 +200,7 @@ private:
   int ElemSize = 0;
   int Threads = 0;
   int BlockTime = 0;
-  long long StreamChunk = 0; ///< hS of the schedule; 0 = one chunk.
+  long long StreamChunk = 0; ///< hS of the schedule: the longest chunk.
 
   using RunFn = int(void *, void *, const long long *, long long, int,
                     long long);

@@ -134,7 +134,13 @@ struct InvocationSchedule {
 
   /// Stream-chunk length and the stride between adjacent chunk starts
   /// (hS and hS; 0 disables chunking — one chunk spans the extent and
-  /// the streaming axis carries no concurrency).
+  /// the streaming axis carries no concurrency). hS is the longest chunk:
+  /// a renderer may split the stream axis more finely, since every chunk
+  /// loads its own stream halo and the prover's checks hold at any chunk
+  /// length. The C++ renderer's 2D/3D kernels do, into near-equal chunks
+  /// of at most hS planes (0: no maximum) and at least one per kernel
+  /// thread while the extent allows; the emulator, the CUDA renderer and
+  /// the 1D kernel run hS chunks.
   long long ChunkLength = 0;
   long long ChunkStride = 0;
 

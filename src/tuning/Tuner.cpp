@@ -19,6 +19,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 
 namespace an5d {
 
@@ -91,23 +92,56 @@ long long hostRingBytes(const StencilProgram &Program,
          Program.wordSize();
 }
 
-/// Sum of Weight(span) over the tiles [o, o + Width) that cover
-/// [0, Extent), where span is the length of [o - Reach, o + Width + Reach)
-/// clipped to [Lo, Hi).
+/// The tiles [begin(C), begin(C + 1)), C < Count, that cover an axis of
+/// Extent cells: Width-cell tiles with the last one clipped to the axis,
+/// or, with Width = 0, Count tiles whose lengths differ by at most one.
+struct AxisTiles {
+  long long Extent = 0;
+  long long Count = 0;
+  long long Width = 0;
+  long long begin(long long C) const {
+    return Width > 0 ? std::min(C * Width, Extent) : C * Extent / Count;
+  }
+};
+
+/// The blocks of compute width \p Width over a blocked axis.
+AxisTiles blockTiles(long long Extent, long long Width) {
+  return {Extent, (Extent + Width - 1) / Width, Width};
+}
+
+/// The stream chunks a native kernel runs \p Config's calls in on a
+/// streamed axis of \p Extent planes with \p Threads kernel threads. The
+/// 1D kernel cuts hS-plane chunks (hS = 0: one chunk). The 2D/3D kernels
+/// (CppCodegen's streamChunks) split the axis into near-equal chunks of at
+/// most hS planes (hS = 0: no maximum) and, while the extent allows, at
+/// least one per thread, so hS is the longest chunk rather than the only
+/// length.
+AxisTiles streamChunks(const BlockConfig &Config, long long Extent,
+                       int Threads) {
+  const long long HS = Config.HS;
+  if (Config.BS.empty())
+    return blockTiles(Extent, HS > 0 ? HS : Extent);
+  const long long Bounded = HS > 0 ? (Extent + HS - 1) / HS : 1;
+  return {Extent, std::min(Extent, std::max<long long>(Bounded, Threads)), 0};
+}
+
+/// Sum of Weight(span) over \p Tiles, where span is the length of the
+/// tile widened by \p Reach on both sides and clipped to [Lo, Hi).
 template <typename WeightFn>
-long long sumOverTiles(long long Extent, long long Width, long long Reach,
-                       long long Lo, long long Hi, WeightFn Weight) {
+long long sumOverTiles(const AxisTiles &Tiles, long long Reach, long long Lo,
+                       long long Hi, WeightFn Weight) {
   long long Sum = 0;
-  for (long long O = 0; O < Extent; O += Width)
-    Sum += Weight(std::max(
-        std::min(O + Width + Reach, Hi) - std::max(O - Reach, Lo), 0LL));
+  for (long long C = 0; C < Tiles.Count; ++C)
+    Sum += Weight(std::max(std::min(Tiles.begin(C + 1) + Reach, Hi) -
+                               std::max(Tiles.begin(C) - Reach, Lo),
+                           0LL));
   return Sum;
 }
 
 /// The host cost of running \p Config on \p Problem with \p Threads
 /// kernel threads, per cell update, over the invocations the host
 /// schedule issues for the problem's step count. Per invocation of
-/// degree d:
+/// degree d, over the streamChunks split of the streamed axis:
 ///
 ///  - compute: tier t covers its compute range widened by its reach
 ///    (d - t)*radius, interior cells only. A row of L contiguous lanes
@@ -122,8 +156,8 @@ long long sumOverTiles(long long Extent, long long Width, long long Reach,
 ///    1/d amortization show, and a block wider than the grid loads only
 ///    the grid.
 ///
-/// Runs the step count makes identical (bT past the steps, hS past the
-/// streamed extent) cost exactly the same.
+/// Runs the step count makes identical (bT past the steps) and runs
+/// rankByHostCost counts as the same (sameRunKey) cost exactly the same.
 double hostCost(const StencilProgram &Program, const BlockConfig &Config,
                 const ProblemSize &Problem, int Threads) {
   const long long Radius = Program.radius();
@@ -134,7 +168,7 @@ double hostCost(const StencilProgram &Program, const BlockConfig &Config,
   };
   auto Cells = [](long long L) { return L; };
   const std::vector<long long> &N = Problem.Extents;
-  const long long Chunk = Config.HS > 0 && Config.HS < N[0] ? Config.HS : N[0];
+  const AxisTiles Chunks = streamChunks(Config, N[0], Threads);
   const std::size_t Blocked = Config.BS.size();
   const long long Steps = std::max(Problem.TimeSteps, 1LL);
 
@@ -144,14 +178,14 @@ double hostCost(const StencilProgram &Program, const BlockConfig &Config,
   double Total = 0;
   for (const auto &[Degree, Count] : Calls) {
     const long long D = Degree;
-    long long Items = (N[0] + Chunk - 1) / Chunk;
+    long long Items = Chunks.Count;
     long long Loaded =
-        sumOverTiles(N[0], Chunk, D * Radius, -Radius, N[0] + Radius, Cells);
-    std::vector<long long> Width(Blocked);
+        sumOverTiles(Chunks, D * Radius, -Radius, N[0] + Radius, Cells);
+    std::vector<AxisTiles> Blocks;
     for (std::size_t A = 0; A < Blocked; ++A) {
-      Width[A] = Config.BS[A] - 2 * D * Radius;
-      Items *= (N[A + 1] + Width[A] - 1) / Width[A];
-      Loaded *= sumOverTiles(N[A + 1], Width[A], D * Radius, -Radius,
+      Blocks.push_back(blockTiles(N[A + 1], Config.BS[A] - 2 * D * Radius));
+      Items *= Blocks[A].Count;
+      Loaded *= sumOverTiles(Blocks[A], D * Radius, -Radius,
                              N[A + 1] + Radius, Cells);
     }
     long long Work = 0;
@@ -159,12 +193,11 @@ double hostCost(const StencilProgram &Program, const BlockConfig &Config,
       const long long Reach = (D - Tier) * Radius;
       long long Rows = 1, RowWork = RowCost(1);
       if (Blocked > 0)
-        RowWork = sumOverTiles(N[Blocked], Width[Blocked - 1], Reach, 0,
-                               N[Blocked], RowCost);
+        RowWork = sumOverTiles(Blocks[Blocked - 1], Reach, 0, N[Blocked],
+                               RowCost);
       if (Blocked > 1)
-        Rows = sumOverTiles(N[1], Width[0], Reach, 0, N[1], Cells);
-      Work += sumOverTiles(N[0], Chunk, Reach, 0, N[0], Cells) * Rows *
-              RowWork;
+        Rows = sumOverTiles(Blocks[0], Reach, 0, N[1], Cells);
+      Work += sumOverTiles(Chunks, Reach, 0, N[0], Cells) * Rows * RowWork;
     }
     const long long Slots = Threads * ((Items + Threads - 1) / Threads);
     Total += static_cast<double>(Count) *
@@ -174,6 +207,25 @@ double hostCost(const StencilProgram &Program, const BlockConfig &Config,
   }
   return Total / (static_cast<double>(Steps) *
                   static_cast<double>(Problem.cellCount()));
+}
+
+/// What makes two host-menu candidates the same run on \p Problem with
+/// \p Threads kernel threads: the same bT, the same stream chunks and the
+/// same bS on every blocked axis one block does not cover. The chunk count
+/// fixes the chunks: the 2D/3D split by construction, and the 1D menu's
+/// hS, which double, cut equally many chunks only when both reach past
+/// the extent. A block covers its axis at every degree once it does at
+/// bT, and its run then does not depend on its bS (0 in the key).
+using RunKey = std::tuple<int, long long, std::vector<int>>;
+RunKey sameRunKey(const StencilProgram &Program, const BlockConfig &Config,
+                  const ProblemSize &Problem, int Threads) {
+  std::vector<int> Uncovered = Config.BS;
+  for (std::size_t A = 0; A < Uncovered.size(); ++A)
+    if (Uncovered[A] - 2LL * Config.BT * Program.radius() >=
+        Problem.Extents[A + 1])
+      Uncovered[A] = 0;
+  return {Config.BT, streamChunks(Config, Problem.Extents[0], Threads).Count,
+          std::move(Uncovered)};
 }
 
 } // namespace
@@ -250,21 +302,21 @@ std::vector<RankedConfig> Tuner::rankByHostCost(const StencilProgram &Program,
       std::any_of(Problem.Extents.begin(), Problem.Extents.end(),
                   [](long long E) { return E < 1; }))
     return {};
-  const long long StreamExtent = Problem.Extents.front();
-  std::set<std::pair<int, std::vector<int>>> OneChunk;
+  Threads = std::max(Threads, 1);
+  std::set<RunKey> Runs;
   std::vector<RankedConfig> Ranked;
   for (const BlockConfig &Config : hostMenu(Program.numDims())) {
     if (!Config.isFeasible(Program.radius()) ||
         hostRingBytes(Program, Config, Problem) > HostRingBudgetBytes)
       continue;
-    // Every hS at or above the streamed extent runs the same single
-    // chunk: time it once.
-    if ((Config.HS == 0 || Config.HS >= StreamExtent) &&
-        !OneChunk.insert({Config.BT, Config.BS}).second)
+    // Candidates that run the same on the tune problem are timed once:
+    // the menu lists bS and hS in ascending order, so the first of them
+    // kept is the narrowest bS.
+    if (!Runs.insert(sameRunKey(Program, Config, Problem, Threads)).second)
       continue;
     RankedConfig Entry;
     Entry.Config = Config;
-    Entry.HostCost = hostCost(Program, Config, Problem, std::max(Threads, 1));
+    Entry.HostCost = hostCost(Program, Config, Problem, Threads);
     Ranked.push_back(std::move(Entry));
   }
   std::sort(Ranked.begin(), Ranked.end(),
@@ -273,10 +325,10 @@ std::vector<RankedConfig> Tuner::rankByHostCost(const StencilProgram &Program,
               double QB = quantizedModelScore(B.HostCost);
               if (QA != QB)
                 return QA < QB;
-              // Ties (blocks that all cover the tune problem, bT past its
-              // step count) break on bS first, so the top-K spans as few
-              // kernels as it can — each distinct bS is one compile —
-              // then bT, then hS.
+              // Ties (bT past the step count: over 8 steps bT 4 and 8
+              // both run two degree-4 blocks) break on bS first, so the
+              // top-K spans as few kernels as it can — each distinct bS
+              // is one compile — then bT, then hS.
               if (A.Config.numThreads() != B.Config.numThreads())
                 return A.Config.numThreads() < B.Config.numThreads();
               if (A.Config.BS != B.Config.BS)

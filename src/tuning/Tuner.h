@@ -19,13 +19,15 @@
 ///     {256,...,2048}, 3D bS1 in {8,16,32,64} by a contiguous bS2 of 512
 ///     (one block spans each row of the tune problem), no thread cap, at
 ///     most 256 KiB of rings per thread as the kernel allocates them on
-///     the tune problem, one candidate per run that is a single chunk on
-///     the tune problem, scored by a CPU cost of SIMD rows, thread
-///     balance and the cells the load stage copies. Each ranked
-///     candidate is lowered to its ScheduleIR once, and the standard
-///     analysis pipeline (analysis/passes/AnalysisPass.h) is the one
-///     static gate: a candidate with an Error finding never reaches
-///     stage 2.
+///     the tune problem, one candidate per run on the tune problem (same
+///     bT, stream chunks and bS on every axis one block does not cover;
+///     the narrowest bS stays), scored by a CPU cost of SIMD rows, thread
+///     balance and the cells the load stage copies, over the stream split
+///     the kernel runs (2D/3D: near-equal chunks of at most hS planes, at
+///     least one per kernel thread). Each ranked candidate is lowered to
+///     its ScheduleIR once, and the standard analysis pipeline
+///     (analysis/passes/AnalysisPass.h) is the one static gate: a
+///     candidate with an Error finding never reaches stage 2.
 ///
 ///  2. Measured sweep: "run" the top-K candidates through the
 ///     measured-performance simulator with each register cap
@@ -161,9 +163,11 @@ public:
   /// Native stage 1: ranks the host menu for \p Program's dimensionality
   /// (see the file comment) by the host cost on \p Problem with
   /// \p Threads kernel threads and returns the best \p TopK in
-  /// ascending cost. Costs compare through quantizedModelScore; ties
-  /// break on bS first (so a tie keeps the top-K on fewer compiles),
-  /// then bT, then hS. Independent of the GPU spec.
+  /// ascending cost. Candidates that run the same on \p Problem appear
+  /// once, with the narrowest bS. Costs compare through
+  /// quantizedModelScore; ties break on bS first (so a tie keeps the
+  /// top-K on fewer compiles), then bT, then hS. Independent of the GPU
+  /// spec.
   static std::vector<RankedConfig> rankByHostCost(
       const StencilProgram &Program, const ProblemSize &Problem,
       std::size_t TopK, int Threads);

@@ -317,6 +317,37 @@ TEST(AnalysisSoundness, ProvenIffFeasibleOnEveryEnumeratedConfig) {
   EXPECT_GT(Proven, 1000u);
 }
 
+// hS is the longest stream chunk: the C++ renderer's 2D/3D kernels split
+// the stream more finely, into near-equal chunks, to give every kernel
+// thread one. The prover must cover every split they may run, so at each
+// 2D/3D builtin's host-ranked configurations the IR proves clean with
+// chunks of 1, 2, 3 and hS - 1 planes.
+TEST(AnalysisSoundness, EveryFinerStreamSplitProvesClean) {
+  std::size_t Checked = 0;
+  for (const std::string &Name : allBuiltinNames()) {
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    ASSERT_NE(Program, nullptr) << Name;
+    if (Program->numDims() < 2)
+      continue;
+    for (const RankedConfig &Ranked : Tuner::rankByHostCost(
+             *Program, nativeMeasurementProblem(Program->numDims()), 8, 4)) {
+      const BlockConfig &Config = Ranked.Config;
+      ASSERT_GT(Config.HS, 4) << Name << " " << Config.toString();
+      for (long long Length : {1LL, 2LL, 3LL, Config.HS - 1LL}) {
+        ScheduleIR IR = lowerSchedule(*Program, Config);
+        for (InvocationSchedule &Inv : IR.Invocations)
+          Inv.ChunkLength = Inv.ChunkStride = Length;
+        EXPECT_EQ(proveAccessBounds(IR, Program->radius()).toString(),
+                  "analysis clean\n")
+            << Name << " " << Config.toString() << " in chunks of "
+            << Length;
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_GT(Checked, 500u);
+}
+
 //===----------------------------------------------------------------------===//
 // Tape mutations: one corrupted fact, one finding ID
 //===----------------------------------------------------------------------===//

@@ -17,8 +17,11 @@
 ///    Tuner's Native measurement backend, which compiles one kernel per
 ///    (stencil, bS);
 ///  * the vectorized 2D/3D kernels at the production flags: bit-for-bit
-///    on awkward extents, on the default pool and on one thread over rings
-///    earlier items left dirty, and every `omp simd` loop vectorized;
+///    on awkward extents and streams shorter than the pool, on the default
+///    pool, on 3 threads and on one thread over rings earlier items left
+///    dirty, and every `omp simd` loop vectorized;
+///  * the 2D/3D stream split: chunks tile the streamed axis, at most hS
+///    long and at least one per kernel thread while the extent allows;
 ///  * the kernel ABI: `an5d_run` takes bT and hS per call, rejects values
 ///    the baked bS cannot hold without touching the buffers, and is
 ///    reentrant (concurrent runs of one loaded kernel).
@@ -324,6 +327,22 @@ std::vector<ProductionCase> productionCases() {
       // cw = 512 - 2*8*1 = 496.
       {"j2d5pt", ScalarType::Double, productionConfig(8, {512}, 7), "",
        {{9, 300}, {5, 1}, {6, 497}, {7, 1001}}, {5, 11}},
+      // Streamed extents of 1 and 3 planes, below the pool's thread count.
+      // hS = 0 sets no maximum, so the stream splits into one chunk per
+      // thread, one plane each, as it does at an hS past the extent.
+      // cw = 32 - 2*3*1 = 26.
+      {"j2d5pt", ScalarType::Float, productionConfig(3, {32}, 0),
+       "short_stream", {{1, 19}, {3, 1}, {3, 27}, {1, 55}}, {2, 7}},
+      {"j2d5pt", ScalarType::Float, productionConfig(3, {32}, 16),
+       "short_stream_long_hs", {{1, 19}, {3, 1}, {3, 27}, {1, 55}}, {2, 7}},
+      // cw = (32, 512) - 2*4*1 = (24, 504).
+      {"star3d1r", ScalarType::Float, productionConfig(4, {32, 512}, 0),
+       "short_stream", {{1, 20, 90}, {3, 1, 1}, {3, 25, 505}, {1, 30, 37}},
+       {3, 9}},
+      // cw = (14, 21) - 2*3*1 = (8, 15).
+      {"star3d1r", ScalarType::Float, productionConfig(3, {14, 21}, 9),
+       "short_stream_long_hs",
+       {{1, 5, 11}, {3, 1, 1}, {3, 9, 16}, {1, 19, 33}}, {2, 7}},
   };
 }
 
@@ -381,6 +400,25 @@ TEST_P(NativeProductionFlags, MatchesReferenceOnOneThreadOverDirtyRings) {
   expectCaseMatches(*Program, Single);
   EXPECT_EQ(Single.kernelMaxThreads(), 1);
   Single.pinKernelThreads(Ambient);
+}
+
+/// The same cases on 3 threads. The stream then splits into chunks of
+/// unequal length on most extents, and the dynamically handed out
+/// (chunk, block) items do not deal out evenly.
+TEST_P(NativeProductionFlags, MatchesReferenceOnThreeThreads) {
+  const ProductionCase &Case = GetParam();
+  auto Program = makeBenchmarkStencil(Case.Name, Case.Type);
+  ASSERT_NE(Program, nullptr);
+  NativeRuntimeOptions Options;
+  Options.CacheDir = sharedCacheDir();
+  Options.Threads = 3;
+  NativeExecutor Three(*Program, Case.Config, Options);
+  ASSERT_TRUE(Three.ok()) << Three.error();
+  const int Ambient = Three.kernelMaxThreads();
+  expectCaseMatches(*Program, Three);
+  if (Ambient > 1)
+    EXPECT_EQ(Three.kernelMaxThreads(), 3);
+  Three.pinKernelThreads(Ambient);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -468,6 +506,82 @@ TEST(NativeVectorization, EveryOmpSimdLoopVectorizes) {
     }
     EXPECT_EQ(Pragmas, 2)
         << Name << ": expected one compute loop and one store loop";
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Stream split
+//===----------------------------------------------------------------------===//
+
+/// The 2D/3D kernels split the streamed axis through the library's own
+/// streamChunks and chunkBounds. A harness appended to a generated library
+/// lists the chunks for many extents, hS values and pool sizes: they must
+/// tile [0, ns) with no gap and no overlap, differ in length by at most
+/// one plane, none may be longer than hS, and there are as many as the
+/// pool has threads while ns allows. Overlapping chunks store the same
+/// values twice, so no bit-exactness test would see them.
+TEST(NativeStreamSplit, ChunksTileTheStreamAxis) {
+  NativeCompiler Compiler;
+  if (!Compiler.available())
+    GTEST_SKIP() << "no host compiler";
+  for (const char *Name : {"j2d5pt", "star3d1r"}) {
+    SCOPED_TRACE(Name);
+    auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
+    ASSERT_NE(Program, nullptr);
+    const std::string Source =
+        generateCppKernelLibrary(*Program, testConfig(*Program)) +
+        "extern \"C\" long long an5d_test_chunks(long long ns, long long hs,\n"
+        "                                        long long *bounds) {\n"
+        "  const long long n = streamChunks(ns, hs);\n"
+        "  for (long long c = 0; c < n && c < 64; ++c)\n"
+        "    chunkBounds(c, n, ns, &bounds[2 * c], &bounds[2 * c + 1]);\n"
+        "  return n;\n"
+        "}\n";
+    const std::string Dir = freshCacheDir(std::string("split-") + Name);
+    std::filesystem::create_directories(Dir);
+    std::ofstream(Dir + "/split.cpp") << Source;
+    CompileOutcome Outcome = Compiler.compileSharedLibrary(
+        Dir + "/split.cpp", Dir + "/split.so", {"-O1"});
+    ASSERT_TRUE(Outcome.Success) << Outcome.Log;
+    std::string LoadError;
+    std::unique_ptr<DynamicKernel> Library =
+        DynamicKernel::load(Dir + "/split.so", &LoadError);
+    ASSERT_NE(Library, nullptr) << LoadError;
+    auto *Chunks = Library->fn<long long(long long, long long, long long *)>(
+        "an5d_test_chunks");
+    auto *SetThreads = Library->fn<void(int)>("an5d_set_threads");
+    auto *MaxThreads = Library->fn<int()>("an5d_max_threads");
+    ASSERT_TRUE(Chunks && SetThreads && MaxThreads);
+    const int Ambient = MaxThreads();
+    for (int Threads : {1, 3, 4, 7}) {
+      SetThreads(Threads);
+      const long long Pool = MaxThreads(); // 1 without OpenMP
+      for (long long Ns = 1; Ns <= 40; ++Ns)
+        for (long long Hs : {0, 1, 2, 3, 5, 16, 64}) {
+          SCOPED_TRACE("pool " + std::to_string(Pool) + ", ns " +
+                       std::to_string(Ns) + ", hs " + std::to_string(Hs));
+          std::vector<long long> Bounds(128, -1);
+          const long long N = Chunks(Ns, Hs, Bounds.data());
+          ASSERT_GE(N, std::min(Ns, Pool));
+          ASSERT_LE(N, Ns);
+          if (Hs > 0)
+            EXPECT_GE(N, (Ns + Hs - 1) / Hs);
+          long long End = 0, Shortest = Ns, Longest = 0;
+          for (long long C = 0; C < N; ++C) {
+            const long long Length = Bounds[2 * C + 1] - Bounds[2 * C];
+            EXPECT_EQ(Bounds[2 * C], End) << "chunk " << C;
+            EXPECT_GE(Length, 1) << "chunk " << C;
+            if (Hs > 0)
+              EXPECT_LE(Length, Hs) << "chunk " << C;
+            Shortest = std::min(Shortest, Length);
+            Longest = std::max(Longest, Length);
+            End = Bounds[2 * C + 1];
+          }
+          EXPECT_EQ(End, Ns);
+          EXPECT_LE(Longest - Shortest, 1);
+        }
+    }
+    SetThreads(Ambient);
   }
 }
 

@@ -324,7 +324,8 @@ TEST(HostRanking, PropertiesOnTheNativeTuneProblem) {
         if (All.size() < TopK)
           RanOut.insert(Label);
         ASSERT_EQ(Again.size(), Ranked.size());
-        std::set<std::tuple<std::vector<int>, int, int>> Runs;
+        std::set<std::tuple<int, long long, std::vector<int>>> Runs;
+        std::set<std::vector<int>> Shapes;
         for (std::size_t I = 0; I < Ranked.size(); ++I) {
           const BlockConfig &C = Ranked[I].Config;
           EXPECT_EQ(C.toString(), All[I].Config.toString());
@@ -337,16 +338,29 @@ TEST(HostRanking, PropertiesOnTheNativeTuneProblem) {
           Input.Schedule = &IR;
           EXPECT_TRUE(Passes.run(Input).proven()) << C.toString();
 
-          // No two entries run the same (bT, bS, chunks) on the tune
-          // problem: an hS at or past the streamed extent is one chunk.
-          // (Distinct bT can still issue the same blocks on a short
-          // problem — bT = 4 and 8 over 8 steps both run two degree-4
-          // blocks — and stay distinct candidates: they differ on the
-          // problems the pick runs.)
-          const int Chunk =
-              C.HS > 0 && C.HS < Problem.Extents.front() ? C.HS : 0;
-          EXPECT_TRUE(Runs.insert({C.BS, C.BT, Chunk}).second)
+          // No two entries are the same run on the tune problem: the
+          // same bT, the same count of stream chunks and the same bS on
+          // every blocked axis one block does not cover. The 1D kernel
+          // cuts hS-plane chunks; the 2D/3D kernels split the stream into
+          // at least one chunk per thread, none longer than hS. (Distinct
+          // bT can still issue the same blocks on a short problem — bT =
+          // 4 and 8 over 8 steps both run two degree-4 blocks — and stay
+          // distinct candidates: they differ on the problems the pick
+          // runs.)
+          const long long Ns = Problem.Extents.front();
+          const long long Bounded = C.HS > 0 ? (Ns + C.HS - 1) / C.HS : 1;
+          const long long Chunks =
+              C.BS.empty() ? Bounded
+                           : std::min<long long>(
+                                 Ns, std::max<long long>(Bounded, Threads));
+          std::vector<int> Uncovered = C.BS;
+          for (std::size_t A = 0; A < Uncovered.size(); ++A)
+            if (Uncovered[A] - 2LL * C.BT * P->radius() >=
+                Problem.Extents[A + 1])
+              Uncovered[A] = 0;
+          EXPECT_TRUE(Runs.insert({C.BT, Chunks, Uncovered}).second)
               << C.toString();
+          Shapes.insert(C.BS);
 
           // 2D rows stay several vectors long; in 3D one 512-lane block
           // spans every row of the tune problem, and the ring budget
@@ -365,6 +379,12 @@ TEST(HostRanking, PropertiesOnTheNativeTuneProblem) {
               C.BT * (2LL * P->radius() + 1) * Lanes * P->wordSize();
           EXPECT_LE(RingBytes, 256 * 1024) << C.toString();
         }
+        // Every 2D candidate at 4 threads runs four chunks on the tune
+        // problem, so a bS whose one block covers the 512-cell rows ranks
+        // once, as its narrowest: the top-8 is one compile.
+        if ((Name == "j2d5pt" || Name == "j2d9pt") &&
+            Type == ScalarType::Float && Threads == 4)
+          EXPECT_EQ(Shapes.size(), 1u);
       }
   // The 3D menu has four shapes, all 512 lanes wide. The radius-3 and -4
   // 3D stencils, and the radius-2 ones in double, run out: 256 KiB of
