@@ -298,7 +298,7 @@ void verifyTape(const TapeFacts &Facts, AnalysisReport &Report) {
     finding(Report, "AN5D-A103", FindingSeverity::Error, "MaxStackDepth",
             "declared stack depth " + std::to_string(Facts.MaxStackDepth) +
                 " is smaller than the simulated peak " + std::to_string(Peak) +
-                " (CompiledTape would size its scratch file short)");
+                " (CompiledTape would size its batch stack short)");
   else if (Facts.MaxStackDepth > Peak)
     finding(Report, "AN5D-A103", FindingSeverity::Warn, "MaxStackDepth",
             "declared stack depth " + std::to_string(Facts.MaxStackDepth) +

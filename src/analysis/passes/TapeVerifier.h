@@ -14,7 +14,7 @@
 ///   AN5D-A102  stack residue (tape does not end with exactly one value)
 ///   AN5D-A103  declared MaxStackDepth vs simulated peak (Error when the
 ///              declaration is too small — CompiledTape would size its
-///              scratch file short; Warn when merely loose)
+///              batch stack short; Warn when merely loose)
 ///   AN5D-A104  PushConst index outside the constant pool
 ///   AN5D-A105  LoadTap index outside the tap table
 ///   AN5D-A106  MathCall selector outside the MathFn enum

@@ -11,20 +11,26 @@
 /// names become MathFn opcodes, and grid reads become indices into a
 /// deduplicated tap table. The executors then specialize the plan per
 /// element type into a CompiledTape<T>, which additionally folds
-/// constant-only subtrees in T precision, and evaluate it with a small
-/// register-file interpreter: no recursion, no string comparisons, no
-/// per-cell heap allocation.
+/// constant-only subtrees in T precision, and evaluate it over rows of
+/// cells with CompiledTape::evalRange: no recursion, no string
+/// comparisons, no per-cell heap allocation.
 ///
 /// Addressing is left to the caller: evaluation takes a base pointer (the
-/// current cell in a Grid, or the current lane in a BlockedExecutor ring)
-/// plus one pre-linearized flat offset per tap. This lets both executors
-/// hoist all coordinate arithmetic out of their innermost loops.
+/// first cell of a Grid row, or the first lane of a BlockedExecutor ring
+/// segment) plus one pre-linearized flat offset per tap. This lets both
+/// executors hoist all coordinate arithmetic out of their innermost loops.
+///
+/// evalRange interprets the tape a vector at a time, as MonetDB/X100 does
+/// (Boncz, Zukowski and Nes, CIDR 2005): it walks the tape once per batch
+/// of up to 64 consecutive cells and runs each op as one loop over the
+/// batch, so the dispatch of an op is spread over the batch instead of
+/// paid per cell.
 ///
 /// Because folding and evaluation perform exactly the operations of the
 /// recursive evalExpr walk, in the same order and the same type, the tape
 /// result matches the tree walk bit for bit — tests/ExprPlanTest.cpp
 /// enforces this over every benchmark stencil. The tree walk stays
-/// available behind EvalStrategy::TreeWalk as the oracle.
+/// available to referenceRun behind EvalStrategy::TreeWalk as the oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,13 +39,14 @@
 
 #include "ir/ExprEval.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
 
 namespace an5d {
 
-/// Selects the evaluation engine an executor runs cells through.
+/// Selects the evaluation engine referenceRun runs cells through.
 enum class EvalStrategy {
   /// The flat postfix tape of ExprPlan (default; fast path).
   CompiledTape,
@@ -180,7 +187,9 @@ public:
     }
     assert(Starts.size() == 1 && "malformed evaluation tape");
     fuseSuperinstructions();
-    Scratch.assign(static_cast<std::size_t>(Plan.maxStackDepth()), T(0));
+    Stack.assign(static_cast<std::size_t>(Plan.maxStackDepth()) *
+                     static_cast<std::size_t>(BatchCells),
+                 T(0));
   }
 
   /// The tap table evaluation reads through (shared with the plan).
@@ -190,81 +199,112 @@ public:
   /// Instructions remaining after folding (folding diagnostics / tests).
   int numOps() const { return static_cast<int>(Ops.size()); }
 
-  /// Evaluates the tape for one cell. Tap \c K reads
-  /// \c Cell[TapOffsets[K]]; the caller pre-linearizes the offsets against
-  /// its own storage (grid strides, or ring slot*lane arithmetic) so this
-  /// loop touches memory and nothing else.
-  T eval(const T *Cell, const long long *TapOffsets) {
-    T *Stack = Scratch.data();
-    int SP = 0;
-    for (const TypedOp &Op : Ops) {
-      switch (Op.Kind) {
-      case TapeOpKind::PushConst:
-        Stack[SP++] = Op.Value;
-        break;
-      case TapeOpKind::LoadTap:
-        Stack[SP++] = Cell[TapOffsets[Op.Arg]];
-        break;
-      case TapeOpKind::Neg:
-        Stack[SP - 1] = -Stack[SP - 1];
-        break;
-      case TapeOpKind::Add:
-        Stack[SP - 2] = Stack[SP - 2] + Stack[SP - 1];
-        --SP;
-        break;
-      case TapeOpKind::Sub:
-        Stack[SP - 2] = Stack[SP - 2] - Stack[SP - 1];
-        --SP;
-        break;
-      case TapeOpKind::Mul:
-        Stack[SP - 2] = Stack[SP - 2] * Stack[SP - 1];
-        --SP;
-        break;
-      case TapeOpKind::Div:
-        Stack[SP - 2] = Stack[SP - 2] / Stack[SP - 1];
-        --SP;
-        break;
-      case TapeOpKind::MathCall:
-        Stack[SP - 1] =
-            applyMathFn<T>(static_cast<MathFn>(Op.Arg), Stack[SP - 1]);
-        break;
-      case TapeOpKind::MulConstTap:
-        Stack[SP++] = Op.Value * Cell[TapOffsets[Op.Arg]];
-        break;
-      case TapeOpKind::MacConstTap: {
-        // Two distinct IEEE operations, exactly as the tree walk performs
-        // them. A compiler must not contract them into an FMA — that
-        // would break the bit-for-bit oracle contract that
-        // tests/ExprPlanTest.cpp enforces; the root CMakeLists passes
-        // -ffp-contract=off project-wide to guarantee it.
-        T Product = Op.Value * Cell[TapOffsets[Op.Arg]];
-        Stack[SP - 1] = Stack[SP - 1] + Product;
-        break;
+  /// Cells per batch of evalRange: enough to spread each op's dispatch
+  /// over many cells, few enough that the stack rows stay in L1 (a row of
+  /// doubles is 512 bytes).
+  static constexpr long long BatchCells = 64;
+
+  /// Evaluates the tape for the \p N consecutive cells starting at
+  /// \p Cell: Out[I] receives the result of cell Cell + I, whose tap \c K
+  /// reads Cell[I + TapOffsets[K]]. The caller pre-linearizes the offsets
+  /// against its own storage (grid strides, or ring slot*lane arithmetic),
+  /// so each tap of a batch is one contiguous run of memory.
+  ///
+  /// The tape is walked once per batch of up to BatchCells cells, and each
+  /// op runs as one branch-free loop over the batch on a stack of
+  /// maxStackDepth() batch rows. Every cell sees exactly the op sequence
+  /// of the tree walk, in the same order and type, so the results match it
+  /// bit for bit. \p Out must not overlap any cell the taps read.
+  void evalRange(const T *Cell, const long long *TapOffsets, T *Out,
+                 long long N) {
+    T *Rows = Stack.data();
+    auto Row = [Rows](int I) { return Rows + I * BatchCells; };
+    for (long long First = 0; First < N; First += BatchCells) {
+      const long long Lanes = std::min(BatchCells, N - First);
+      auto Tap = [&](const TypedOp &Op) {
+        return Cell + (First + TapOffsets[Op.Arg]);
+      };
+      int SP = 0;
+      for (const TypedOp &Op : Ops) {
+        const T V = Op.Value;
+        switch (Op.Kind) {
+        case TapeOpKind::PushConst:
+          std::fill_n(Row(SP++), Lanes, V);
+          break;
+        case TapeOpKind::LoadTap:
+          std::copy_n(Tap(Op), Lanes, Row(SP++));
+          break;
+        case TapeOpKind::Neg:
+          update(Row(SP - 1), Lanes, [](T A) { return -A; });
+          break;
+        case TapeOpKind::Add:
+          combine(Row(SP - 2), Row(SP - 1), Lanes,
+                  [](T A, T B) { return A + B; });
+          --SP;
+          break;
+        case TapeOpKind::Sub:
+          combine(Row(SP - 2), Row(SP - 1), Lanes,
+                  [](T A, T B) { return A - B; });
+          --SP;
+          break;
+        case TapeOpKind::Mul:
+          combine(Row(SP - 2), Row(SP - 1), Lanes,
+                  [](T A, T B) { return A * B; });
+          --SP;
+          break;
+        case TapeOpKind::Div:
+          combine(Row(SP - 2), Row(SP - 1), Lanes,
+                  [](T A, T B) { return A / B; });
+          --SP;
+          break;
+        case TapeOpKind::MathCall: {
+          const MathFn Fn = static_cast<MathFn>(Op.Arg);
+          update(Row(SP - 1), Lanes,
+                 [Fn](T A) { return applyMathFn<T>(Fn, A); });
+          break;
+        }
+        case TapeOpKind::MulConstTap:
+          push(Row(SP++), Tap(Op), Lanes, [V](T X) { return V * X; });
+          break;
+        case TapeOpKind::MacConstTap:
+          // Two distinct IEEE operations, exactly as the tree walk
+          // performs them. A compiler must not contract them into an FMA
+          // — that would break the bit-for-bit oracle contract that
+          // tests/ExprPlanTest.cpp enforces; the root CMakeLists passes
+          // -ffp-contract=off project-wide to guarantee it.
+          combine(Row(SP - 1), Tap(Op), Lanes, [V](T A, T X) {
+            T Product = V * X;
+            return A + Product;
+          });
+          break;
+        case TapeOpKind::AddTap:
+          combine(Row(SP - 1), Tap(Op), Lanes,
+                  [](T A, T X) { return A + X; });
+          break;
+        case TapeOpKind::SubTap:
+          combine(Row(SP - 1), Tap(Op), Lanes,
+                  [](T A, T X) { return A - X; });
+          break;
+        case TapeOpKind::MulTap:
+          combine(Row(SP - 1), Tap(Op), Lanes,
+                  [](T A, T X) { return A * X; });
+          break;
+        case TapeOpKind::AddConst:
+          update(Row(SP - 1), Lanes, [V](T A) { return A + V; });
+          break;
+        case TapeOpKind::SubConst:
+          update(Row(SP - 1), Lanes, [V](T A) { return A - V; });
+          break;
+        case TapeOpKind::MulConst:
+          update(Row(SP - 1), Lanes, [V](T A) { return A * V; });
+          break;
+        case TapeOpKind::DivConst:
+          update(Row(SP - 1), Lanes, [V](T A) { return A / V; });
+          break;
+        }
       }
-      case TapeOpKind::AddTap:
-        Stack[SP - 1] = Stack[SP - 1] + Cell[TapOffsets[Op.Arg]];
-        break;
-      case TapeOpKind::SubTap:
-        Stack[SP - 1] = Stack[SP - 1] - Cell[TapOffsets[Op.Arg]];
-        break;
-      case TapeOpKind::MulTap:
-        Stack[SP - 1] = Stack[SP - 1] * Cell[TapOffsets[Op.Arg]];
-        break;
-      case TapeOpKind::AddConst:
-        Stack[SP - 1] = Stack[SP - 1] + Op.Value;
-        break;
-      case TapeOpKind::SubConst:
-        Stack[SP - 1] = Stack[SP - 1] - Op.Value;
-        break;
-      case TapeOpKind::MulConst:
-        Stack[SP - 1] = Stack[SP - 1] * Op.Value;
-        break;
-      case TapeOpKind::DivConst:
-        Stack[SP - 1] = Stack[SP - 1] / Op.Value;
-        break;
-      }
+      std::copy_n(Row(0), Lanes, Out + First);
     }
-    return Stack[0];
   }
 
 private:
@@ -352,6 +392,28 @@ private:
     Ops = std::move(Fused);
   }
 
+  /// Dst[L] = F(Src[L]) over the lanes of one batch.
+  template <typename Fn>
+  static void push(T *__restrict Dst, const T *__restrict Src, long long Lanes,
+                   Fn F) {
+    for (long long L = 0; L < Lanes; ++L)
+      Dst[L] = F(Src[L]);
+  }
+
+  /// Dst[L] = F(Dst[L]) over the lanes of one batch.
+  template <typename Fn> static void update(T *Dst, long long Lanes, Fn F) {
+    for (long long L = 0; L < Lanes; ++L)
+      Dst[L] = F(Dst[L]);
+  }
+
+  /// Dst[L] = F(Dst[L], Src[L]) over the lanes of one batch.
+  template <typename Fn>
+  static void combine(T *__restrict Dst, const T *__restrict Src,
+                      long long Lanes, Fn F) {
+    for (long long L = 0; L < Lanes; ++L)
+      Dst[L] = F(Dst[L], Src[L]);
+  }
+
   static T applyBinary(TapeOpKind Kind, T L, T R) {
     switch (Kind) {
     case TapeOpKind::Add:
@@ -370,7 +432,8 @@ private:
 
   std::vector<TypedOp> Ops;
   std::vector<std::vector<int>> Taps;
-  std::vector<T> Scratch;
+  /// maxStackDepth() rows of BatchCells lanes; row I is stack slot I.
+  std::vector<T> Stack;
 };
 
 } // namespace an5d

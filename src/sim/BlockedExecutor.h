@@ -25,16 +25,20 @@
 ///  * host-side temporal block scheduling with the parity adjustment of
 ///    Section 4.3.1.
 ///
-/// Cell evaluation runs through the compiled flat tape of ir/ExprPlan.h by
-/// default: each tap collapses to one flat ring offset
+/// Cell evaluation runs through the compiled flat tape of ir/ExprPlan.h:
+/// each tap collapses to one flat ring offset
 /// (slot(plane + tap_stream_offset) * laneCount + tap_lane_offset),
-/// re-linearized once per sub-plane and shared by every lane, so the
-/// innermost lane loops do no recursion, name resolution or allocation.
-/// The recursive evalExpr walk remains selectable
-/// (BlockedExecOptions::Strategy = EvalStrategy::TreeWalk) as the
-/// bit-for-bit oracle; both engines perform identical arithmetic, so a
-/// correct schedule reproduces the naive reference result bit for bit
-/// under either — this is the correctness oracle for the whole framework.
+/// re-linearized once per sub-plane and shared by every lane, and each
+/// lane span is decomposed into contiguous exists/interior/valid segments.
+/// Every valid segment and every final-tier store row is one
+/// CompiledTape::evalRange call, which runs each tape op over up to 64
+/// lanes at a time, so the lane loops do no recursion, name resolution,
+/// allocation or per-lane predicate. The tape is the emulator's only
+/// engine; the recursive evalExpr walk lives on in referenceRun
+/// (EvalStrategy::TreeWalk) as the bit-for-bit oracle the emulator is
+/// tested against. A correct schedule reproduces the naive reference
+/// result bit for bit — this is the correctness oracle for the whole
+/// framework.
 ///
 /// The PoisonHalos option writes quiet NaNs instead of the halo-overwrite
 /// values; since halo values must never feed a valid computation, results
@@ -45,7 +49,6 @@
 #ifndef AN5D_SIM_BLOCKEDEXECUTOR_H
 #define AN5D_SIM_BLOCKEDEXECUTOR_H
 
-#include "ir/ExprEval.h"
 #include "ir/ExprPlan.h"
 #include "ir/StencilProgram.h"
 #include "model/BlockConfig.h"
@@ -76,9 +79,6 @@ struct BlockedExecOptions {
   /// the halo-overwrite values. Valid outputs must stay NaN-free.
   bool PoisonHalos = false;
 
-  /// Which evaluation engine cells run through.
-  EvalStrategy Strategy = EvalStrategy::CompiledTape;
-
   /// When set, the emulator accumulates operation counts here.
   BlockedExecStats *Stats = nullptr;
 };
@@ -90,9 +90,8 @@ public:
   /// tuner, the sweep — hand the IR down instead of re-lowering).
   BlockedExecutor(const StencilProgram &Program, ScheduleIR Schedule,
                   BlockedExecOptions Options = {})
-      : Program(Program), IR(std::move(Schedule)), Options(Options),
-        Radius(IR.Radius), RingDepth(static_cast<int>(IR.RingDepth)),
-        Tape(Program.plan()) {
+      : IR(std::move(Schedule)), Options(Options), Radius(IR.Radius),
+        RingDepth(static_cast<int>(IR.RingDepth)), Tape(Program.plan()) {
     const BlockConfig &Config = IR.Config;
     assert(Config.isFeasible(Radius) && "infeasible block configuration");
     assert(static_cast<int>(Config.BS.size()) == Program.numDims() - 1 &&
@@ -147,7 +146,6 @@ public:
   }
 
 private:
-  const StencilProgram &Program;
   /// The lowered schedule; every structural quantity the executor uses
   /// (ring depth, compute widths, chunking, tier lags and reaches) is
   /// read from here, never re-derived.
@@ -225,20 +223,10 @@ private:
     }
   }
 
-  /// Streams one thread-block through one chunk.
-  void runBlock(const Grid<T> &In, Grid<T> &Out,
-                const InvocationSchedule &Inv, long long ChunkLo,
-                long long ChunkHi, const std::vector<long long> &Origins) {
-    if (Options.Strategy == EvalStrategy::CompiledTape)
-      runBlockTape(In, Out, Inv, ChunkLo, ChunkHi, Origins);
-    else
-      runBlockTree(In, Out, Inv, ChunkLo, ChunkHi, Origins);
-  }
-
   /// A maximal run of span positions of one blocked dimension over which
   /// the lane classification (exists / interior / tier-valid) is constant.
   /// Decomposing each dimension into such segments once per block lets the
-  /// tape path run branch-free inner loops — no per-lane coordinate
+  /// emulator run branch-free inner loops — no per-lane coordinate
   /// decode, no per-lane predicates.
   struct LaneSeg {
     long long Lo, Hi;
@@ -272,16 +260,13 @@ private:
     return Segs;
   }
 
-  /// Segment-decomposed streaming of one thread-block (CompiledTape
-  /// strategy). Semantically identical to runBlockTree — the equivalence
-  /// suite checks bit-for-bit agreement and identical op census — but
-  /// all per-lane work beyond the tape evaluation itself is hoisted:
+  /// Streams one thread-block through one chunk, segment by segment: all
+  /// per-lane work beyond the tape evaluation itself is hoisted, so
   /// loads/carries become contiguous row copies and evaluations run over
   /// precomputed lane ranges.
-  void runBlockTape(const Grid<T> &In, Grid<T> &Out,
-                    const InvocationSchedule &Inv, long long ChunkLo,
-                    long long ChunkHi,
-                    const std::vector<long long> &Origins) {
+  void runBlock(const Grid<T> &In, Grid<T> &Out,
+                const InvocationSchedule &Inv, long long ChunkLo,
+                long long ChunkHi, const std::vector<long long> &Origins) {
     const int Degree = Inv.Degree;
     const std::vector<long long> &ComputeWidth = Inv.ComputeWidth;
     const std::vector<long long> &Extents = In.extents();
@@ -449,9 +434,8 @@ private:
                               Fill);
                   }
                 } else if (O.Valid && I.Valid) {
-                  for (long long P2 = I.Lo; P2 < I.Hi; ++P2)
-                    DstRow[RowOff + P2] =
-                        Tape.eval(PrevData + RowOff + P2, TapOffsets.data());
+                  Tape.evalRange(PrevData + RowOff + I.Lo, TapOffsets.data(),
+                                 DstRow + RowOff + I.Lo, Len);
                   if (Options.Stats)
                     Options.Stats->ComputeOps += Len;
                 } else if (Options.PoisonHalos) {
@@ -473,226 +457,13 @@ private:
           for (long long P1 = StoreLoOut; P1 < StoreHiOut; ++P1) {
             long long RowOff = P1 * Outer.LaneStrideD;
             long long RowBase = PlaneBase + P1 * Outer.GridStrideD;
-            for (long long P2 = StoreLoIn; P2 < StoreHiIn; ++P2)
-              GridOut[RowBase + P2] =
-                  Tape.eval(PrevData + RowOff + P2, TapOffsets.data());
+            Tape.evalRange(PrevData + RowOff + StoreLoIn, TapOffsets.data(),
+                           GridOut + RowBase + StoreLoIn,
+                           StoreHiIn - StoreLoIn);
             if (Options.Stats) {
               Options.Stats->ComputeOps += StoreHiIn - StoreLoIn;
               Options.Stats->GmWriteOps += StoreHiIn - StoreLoIn;
             }
-          }
-        }
-      }
-    }
-  }
-
-  /// Per-lane streaming of one thread-block through the recursive
-  /// evalExpr oracle (EvalStrategy::TreeWalk).
-  void runBlockTree(const Grid<T> &In, Grid<T> &Out,
-                    const InvocationSchedule &Inv, long long ChunkLo,
-                    long long ChunkHi,
-                    const std::vector<long long> &Origins) {
-    const int Degree = Inv.Degree;
-    const std::vector<long long> &ComputeWidth = Inv.ComputeWidth;
-    const std::vector<long long> &Extents = In.extents();
-    long long StreamExtent = Extents[0];
-    int NumBlockedDims = static_cast<int>(Inv.BS.size());
-
-    // Lane bookkeeping: lane l decomposes into per-dimension positions
-    // within the block span [Origin - LoadSpanHalo, ... + bS).
-    long long LaneCount = 1;
-    for (long long B : Inv.BS)
-      LaneCount *= B;
-    std::vector<long long> SpanLo(static_cast<std::size_t>(NumBlockedDims));
-    for (int D = 0; D < NumBlockedDims; ++D)
-      SpanLo[static_cast<std::size_t>(D)] =
-          Origins[static_cast<std::size_t>(D)] - Inv.LoadSpanHalo;
-
-    // Register-window rings for tiers 0..Degree-1, zeroed per block (the
-    // vectors keep their capacity across blocks and invocations).
-    for (auto &Ring : Rings)
-      Ring.assign(static_cast<std::size_t>(RingDepth) *
-                      static_cast<std::size_t>(LaneCount),
-                  T(0));
-    auto RingSlot = [&](long long Plane) {
-      long long M = Plane % RingDepth;
-      return static_cast<std::size_t>(M < 0 ? M + RingDepth : M);
-    };
-    auto RingCell = [&](std::vector<T> &Ring, long long Plane,
-                        long long Lane) -> T & {
-      return Ring[RingSlot(Plane) * static_cast<std::size_t>(LaneCount) +
-                  static_cast<std::size_t>(Lane)];
-    };
-
-    std::vector<long long> Coords(static_cast<std::size_t>(NumBlockedDims));
-    auto DecodeLane = [&](long long Lane) {
-      for (int D = 0; D < NumBlockedDims; ++D)
-        Coords[static_cast<std::size_t>(D)] =
-            SpanLo[static_cast<std::size_t>(D)] +
-            (Lane / LaneStride[static_cast<std::size_t>(D)]) %
-                Inv.BS[static_cast<std::size_t>(D)];
-    };
-
-    auto CellExists = [&](const std::vector<long long> &C) {
-      for (int D = 0; D < NumBlockedDims; ++D)
-        if (C[static_cast<std::size_t>(D)] < -Radius ||
-            C[static_cast<std::size_t>(D)] >=
-                Extents[static_cast<std::size_t>(D) + 1] + Radius)
-          return false;
-      return true;
-    };
-    auto IsInteriorLane = [&](const std::vector<long long> &C) {
-      for (int D = 0; D < NumBlockedDims; ++D)
-        if (C[static_cast<std::size_t>(D)] < 0 ||
-            C[static_cast<std::size_t>(D)] >=
-                Extents[static_cast<std::size_t>(D) + 1])
-          return false;
-      return true;
-    };
-    auto InTierValidRegion = [&](const std::vector<long long> &C, int Tier) {
-      long long Reach = Inv.Tiers[static_cast<std::size_t>(Tier) - 1].Reach;
-      for (int D = 0; D < NumBlockedDims; ++D) {
-        long long Lo = Origins[static_cast<std::size_t>(D)] - Reach;
-        long long Hi = Origins[static_cast<std::size_t>(D)] +
-                       ComputeWidth[static_cast<std::size_t>(D)] + Reach;
-        long long X = C[static_cast<std::size_t>(D)];
-        if (X < Lo || X >= Hi)
-          return false;
-      }
-      return true;
-    };
-
-    std::vector<long long> GridCoords(
-        static_cast<std::size_t>(NumBlockedDims) + 1);
-    auto ReadInput = [&](long long Plane,
-                         const std::vector<long long> &C) -> T {
-      GridCoords[0] = Plane;
-      for (int D = 0; D < NumBlockedDims; ++D)
-        GridCoords[static_cast<std::size_t>(D) + 1] =
-            C[static_cast<std::size_t>(D)];
-      return In.at(GridCoords);
-    };
-
-    // The oracle per-cell evaluation (EvalStrategy::TreeWalk): reads come
-    // from the previous tier's ring, shifted by the tap offsets. The tape
-    // path reads the very same ring elements through TapOffsets.
-    auto EvalCellTree = [&](std::vector<T> &PrevRing, long long Plane,
-                            const std::vector<long long> &C) -> T {
-      auto Read = [&](const GridReadExpr &R) -> T {
-        long long NeighborPlane = Plane + R.offsets()[0];
-        long long Lane = 0;
-        for (int D = 0; D < NumBlockedDims; ++D) {
-          long long X = C[static_cast<std::size_t>(D)] +
-                        R.offsets()[static_cast<std::size_t>(D) + 1];
-          Lane += (X - SpanLo[static_cast<std::size_t>(D)]) *
-                  LaneStride[static_cast<std::size_t>(D)];
-        }
-        return RingCell(PrevRing, NeighborPlane, Lane);
-      };
-      auto Coef = [&](const std::string &Name) -> T {
-        return static_cast<T>(Program.coefficientValue(Name));
-      };
-      return evalExpr<T>(Program.update(), Read, Coef);
-    };
-
-    // Streaming schedule: at step s, tier T processes plane
-    // s - StreamLag_T (the IR's per-tier lags).
-    long long SBegin = ChunkLo - Inv.LoadStreamReach;
-    long long SEnd = ChunkHi - 1 + Inv.Tiers.back().StreamLag;
-    for (long long S = SBegin; S <= SEnd; ++S) {
-      // Tier 0: load plane S from global memory into the tier-0 ring.
-      {
-        long long NeedLo =
-            std::max(ChunkLo - Inv.LoadStreamReach, -Inv.GridHalo);
-        long long NeedHi = std::min(ChunkHi - 1 + Inv.LoadStreamReach,
-                                    StreamExtent - 1 + Inv.GridHalo);
-        if (S >= NeedLo && S <= NeedHi && Degree >= 1) {
-          for (long long Lane = 0; Lane < LaneCount; ++Lane) {
-            DecodeLane(Lane);
-            T Value;
-            if (CellExists(Coords)) {
-              Value = ReadInput(S, Coords);
-              if (Options.Stats)
-                ++Options.Stats->GmReadOps;
-            } else {
-              Value = Options.PoisonHalos ? poisonValue() : T(0);
-            }
-            RingCell(Rings[0], S, Lane) = Value;
-          }
-        }
-      }
-
-      // Tiers 1..Degree, each with the lag and reach the IR assigns.
-      for (const TierSchedule &TS : Inv.Tiers) {
-        const int Tier = TS.Tier;
-        long long Plane = S - TS.StreamLag;
-        long long Reach = TS.Reach;
-        long long NeedLo = std::max(ChunkLo - Reach, -Inv.GridHalo);
-        long long NeedHi =
-            std::min(ChunkHi - 1 + Reach, StreamExtent - 1 + Inv.GridHalo);
-        if (Plane < NeedLo || Plane > NeedHi)
-          continue;
-
-        std::vector<T> &PrevRing =
-            Rings[static_cast<std::size_t>(Tier) - 1];
-        bool IsInteriorPlane = Plane >= 0 && Plane < StreamExtent;
-
-        if (Tier < Degree) {
-          std::vector<T> &DstRing = Rings[static_cast<std::size_t>(Tier)];
-          for (long long Lane = 0; Lane < LaneCount; ++Lane) {
-            DecodeLane(Lane);
-            T Value;
-            if (!IsInteriorPlane || !IsInteriorLane(Coords)) {
-              // Boundary sub-planes / boundary lanes stay pinned to the
-              // input's boundary conditions; lanes past the padded grid
-              // are out-of-bound threads.
-              Value = CellExists(Coords)
-                          ? ReadInput(Plane, Coords)
-                          : (Options.PoisonHalos ? poisonValue() : T(0));
-            } else if (InTierValidRegion(Coords, Tier)) {
-              Value = EvalCellTree(PrevRing, Plane, Coords);
-              if (Options.Stats)
-                ++Options.Stats->ComputeOps;
-            } else {
-              // Halo overwrite (Section 4.1): carry the previous tier's
-              // value forward, or a canary under poisoning.
-              Value = Options.PoisonHalos
-                          ? poisonValue()
-                          : RingCell(PrevRing, Plane, Lane);
-            }
-            RingCell(DstRing, Plane, Lane) = Value;
-          }
-        } else {
-          // Final tier: store the compute region of the chunk's own
-          // interior planes straight to global memory.
-          if (!IsInteriorPlane || Plane < ChunkLo || Plane >= ChunkHi)
-            continue;
-          for (long long Lane = 0; Lane < LaneCount; ++Lane) {
-            DecodeLane(Lane);
-            if (!IsInteriorLane(Coords))
-              continue;
-            bool InComputeRegion = true;
-            for (int D = 0; D < NumBlockedDims; ++D) {
-              long long X = Coords[static_cast<std::size_t>(D)];
-              if (X < Origins[static_cast<std::size_t>(D)] ||
-                  X >= Origins[static_cast<std::size_t>(D)] +
-                           ComputeWidth[static_cast<std::size_t>(D)]) {
-                InComputeRegion = false;
-                break;
-              }
-            }
-            if (!InComputeRegion)
-              continue;
-            T Value = EvalCellTree(PrevRing, Plane, Coords);
-            if (Options.Stats) {
-              ++Options.Stats->ComputeOps;
-              ++Options.Stats->GmWriteOps;
-            }
-            GridCoords[0] = Plane;
-            for (int D = 0; D < NumBlockedDims; ++D)
-              GridCoords[static_cast<std::size_t>(D) + 1] =
-                  Coords[static_cast<std::size_t>(D)];
-            Out.at(GridCoords) = Value;
           }
         }
       }

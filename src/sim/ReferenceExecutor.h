@@ -14,11 +14,14 @@
 ///
 ///  * CompiledTape (default): the update expression is lowered once to the
 ///    flat tape of ExprPlan; each tap's coordinate arithmetic collapses to
-///    one pre-linearized flat offset against the grid's strides, and the
-///    interior is walked as raw-pointer rows along the innermost
-///    dimension — no recursion, name lookups or allocation per cell.
+///    one pre-linearized flat offset against the grid's strides, and each
+///    interior row along the innermost dimension is one
+///    CompiledTape::evalRange call, which runs every tape op over up to 64
+///    cells at a time — no recursion, name lookups or allocation per cell.
 ///  * TreeWalk: the recursive evalExpr walk, kept as the bit-for-bit
-///    oracle the tape is tested against (tests/ExprPlanTest.cpp).
+///    oracle the tape — and through it the blocked emulator — is tested
+///    against (tests/ExprPlanTest.cpp). It is the project's only tree-walk
+///    executor.
 ///
 /// Both engines perform identical arithmetic in identical order, so their
 /// results — and therefore the blocked emulator's — match bit for bit.
@@ -98,15 +101,13 @@ void referenceRun(const StencilProgram &Program,
       const T *InData = In.data();
       T *OutData = Out.data();
 
-      // Odometer over the outer dimensions; the innermost dimension runs
-      // as a contiguous raw-pointer row.
+      // Odometer over the outer dimensions; each row of the innermost
+      // dimension is one batched tape evaluation.
       std::fill(Coords.begin(), Coords.end(), 0);
       while (true) {
         std::size_t Base = In.flattenBase(Coords);
-        const T *InRow = InData + Base;
-        T *OutRow = OutData + Base;
-        for (long long J = 0; J < RowLength; ++J)
-          OutRow[J] = Tape.eval(InRow + J, TapOffsets.data());
+        Tape.evalRange(InData + Base, TapOffsets.data(), OutData + Base,
+                       RowLength);
 
         int D = NumDims - 2;
         while (D >= 0) {

@@ -6,8 +6,10 @@
 ///
 /// The contract of ir/ExprPlan.h: the compiled tape reproduces the
 /// recursive evalExpr walk BIT FOR BIT — over randomized expression trees,
-/// over every Table 3 benchmark stencil in both scalar types, through both
-/// executors, and under poisoned-halo runs.
+/// over every Table 3 benchmark stencil in both scalar types, across the
+/// batch seams of CompiledTape::evalRange, through both executors, and
+/// under poisoned-halo runs. The blocked emulator runs only the tape, so
+/// it is checked against referenceRun's tree walk.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 
 using namespace an5d;
@@ -115,6 +120,9 @@ private:
   std::map<std::string, double> &Coefficients;
 };
 
+/// Lanes per random tape evaluation: two full batches and a 2-lane tail.
+constexpr long long RandomTapeLanes = 130;
+
 template <typename T>
 void checkRandomExprEquivalence(std::uint32_t Seed, int Trees) {
   std::mt19937 Rng(Seed);
@@ -127,32 +135,39 @@ void checkRandomExprEquivalence(std::uint32_t Seed, int Trees) {
     CompiledTape<T> Tape(Plan);
     ASSERT_GT(Plan.maxStackDepth(), 0);
 
-    // Random values per distinct tap; the tree walk resolves offsets to
-    // the same values through a map lookup.
+    // Random values per distinct tap and lane: tap K of lane I lives at
+    // TapValues[K * Lanes + I], so TapOffsets[K] = K * Lanes. The tree walk
+    // resolves offsets to the same values through a table lookup.
     std::uniform_real_distribution<double> Dist(0.25, 2.0);
-    std::vector<T> TapValues(static_cast<std::size_t>(Plan.numTaps()));
-    std::vector<long long> TapIndices(TapValues.size());
-    for (std::size_t K = 0; K < TapValues.size(); ++K) {
-      TapValues[K] = static_cast<T>(Dist(Rng));
-      TapIndices[K] = static_cast<long long>(K);
-    }
-    auto Read = [&](const GridReadExpr &R) -> T {
-      const std::vector<std::vector<int>> &Taps = Plan.taps();
-      for (std::size_t K = 0; K < Taps.size(); ++K)
-        if (Taps[K] == R.offsets())
-          return TapValues[K];
-      ADD_FAILURE() << "grid read missing from the plan's tap table";
-      return T(0);
-    };
-    auto Coef = [&](const std::string &Name) -> T {
-      return static_cast<T>(Coefficients.at(Name));
-    };
+    const long long Lanes = RandomTapeLanes;
+    std::vector<T> TapValues(static_cast<std::size_t>(Plan.numTaps() * Lanes));
+    for (T &V : TapValues)
+      V = static_cast<T>(Dist(Rng));
+    std::vector<long long> TapOffsets(static_cast<std::size_t>(Plan.numTaps()));
+    for (std::size_t K = 0; K < TapOffsets.size(); ++K)
+      TapOffsets[K] = static_cast<long long>(K) * Lanes;
+    std::vector<T> Out(static_cast<std::size_t>(Lanes));
+    Tape.evalRange(TapValues.data(), TapOffsets.data(), Out.data(), Lanes);
 
-    T Want = evalExpr<T>(*E, Read, Coef);
-    T Got = Tape.eval(TapValues.data(), TapIndices.data());
-    EXPECT_TRUE(bitEqual(Want, Got))
-        << "tree " << Tree << ": tree-walk " << Want << " vs tape " << Got
-        << " for " << E->toString();
+    for (long long Lane = 0; Lane < Lanes; ++Lane) {
+      auto Read = [&](const GridReadExpr &R) -> T {
+        const std::vector<std::vector<int>> &Taps = Plan.taps();
+        for (std::size_t K = 0; K < Taps.size(); ++K)
+          if (Taps[K] == R.offsets())
+            return TapValues[static_cast<std::size_t>(TapOffsets[K] + Lane)];
+        ADD_FAILURE() << "grid read missing from the plan's tap table";
+        return T(0);
+      };
+      auto Coef = [&](const std::string &Name) -> T {
+        return static_cast<T>(Coefficients.at(Name));
+      };
+
+      T Want = evalExpr<T>(*E, Read, Coef);
+      T Got = Out[static_cast<std::size_t>(Lane)];
+      EXPECT_TRUE(bitEqual(Want, Got))
+          << "tree " << Tree << " lane " << Lane << ": tree-walk " << Want
+          << " vs tape " << Got << " for " << E->toString();
+    }
   }
 }
 
@@ -209,7 +224,111 @@ TEST(CompiledTape, FoldsConstantSubtreesInElementType) {
   EXPECT_EQ(Tape.numOps(), 2);
   float Center = 1.5f;
   long long Index = 0;
-  EXPECT_EQ(Tape.eval(&Center, &Index), 5.0f * 1.5f + 4.0f);
+  float Got = 0.0f;
+  Tape.evalRange(&Center, &Index, &Got, 1);
+  EXPECT_EQ(Got, 5.0f * 1.5f + 4.0f);
+}
+
+//===----------------------------------------------------------------------===//
+// Batch seams of CompiledTape::evalRange
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Bitwise equality, except that any two NaNs match: C++ fixes no NaN
+/// payload, so a NaN result is checked by NaN-ness only.
+template <typename T> bool sameResult(T A, T B) {
+  if (std::isnan(A) && std::isnan(B))
+    return true;
+  return bitEqual(A, B);
+}
+
+/// Row lengths around evalRange's 64-cell batches: one cell, a short
+/// batch, one full batch, one more cell, and two full batches plus one.
+constexpr long long SeamLengths[] = {1, 63, 64, 65, 129};
+
+/// First lane of every evaluated row: unaligned, so batches straddle
+/// vector boundaries.
+constexpr long long SeamStart = 3;
+
+/// Evaluates one grid row of \p Program per length of SeamLengths with
+/// evalRange and compares each cell with evalStencilCell's tree walk, and
+/// checks that nothing past the row's end is written. Ordinary values fill
+/// the grid; every 13th lane of the evaluated row holds an IEEE edge case
+/// (±0, ±subnormal, ±Inf, NaN), so batches meet them at different lanes.
+template <typename T> void checkBatchSeams(const StencilProgram &Program) {
+  const int NumDims = Program.numDims();
+  const int Radius = Program.radius();
+  const long long Longest =
+      *std::max_element(std::begin(SeamLengths), std::end(SeamLengths));
+  std::vector<long long> Extents(static_cast<std::size_t>(NumDims), 3);
+  Extents.back() = SeamStart + Longest + SeamStart;
+  Grid<T> In(Extents, Radius);
+  std::mt19937 Rng(2026);
+  std::uniform_real_distribution<double> Dist(-2.0, 2.0);
+  for (T &Cell : In.raw())
+    Cell = static_cast<T>(Dist(Rng));
+
+  using Limits = std::numeric_limits<T>;
+  const T Specials[] = {T(0),
+                        -T(0),
+                        Limits::denorm_min(),
+                        -Limits::min() / T(4),
+                        Limits::infinity(),
+                        -Limits::infinity(),
+                        Limits::quiet_NaN()};
+  const std::size_t NumSpecials = sizeof(Specials) / sizeof(Specials[0]);
+  // The evaluated row sits at coordinate 1 of every outer dimension.
+  std::vector<long long> Coords(static_cast<std::size_t>(NumDims), 1);
+  std::size_t Next = 0;
+  for (long long Lane = -Radius; Lane < Extents.back() + Radius; ++Lane)
+    if ((Lane + Radius) % 13 == 6) {
+      Coords.back() = Lane;
+      In.at(Coords) = Specials[Next++ % NumSpecials];
+    }
+
+  const ExprPlan &Plan = Program.plan();
+  CompiledTape<T> Tape(Plan);
+  std::vector<long long> TapOffsets = linearizeTaps(Plan, In);
+  const T Sentinel = T(-12345.25);
+  for (long long Length : SeamLengths) {
+    std::vector<T> Out(
+        static_cast<std::size_t>(Length + CompiledTape<T>::BatchCells),
+        Sentinel);
+    Coords.back() = SeamStart;
+    Tape.evalRange(&In.at(Coords), TapOffsets.data(), Out.data(), Length);
+
+    long long Mismatches = 0, FirstBad = -1;
+    for (long long I = 0; I < Length; ++I) {
+      Coords.back() = SeamStart + I;
+      if (!sameResult(evalStencilCell(Program, In, Coords),
+                      Out[static_cast<std::size_t>(I)]) &&
+          Mismatches++ == 0)
+        FirstBad = I;
+    }
+    EXPECT_EQ(Mismatches, 0)
+        << Program.name() << ": " << Length << "-cell row, first mismatch at "
+        << "cell " << FirstBad;
+    long long Overrun = 0;
+    for (std::size_t I = static_cast<std::size_t>(Length); I < Out.size(); ++I)
+      Overrun += bitEqual(Out[I], Sentinel) ? 0 : 1;
+    EXPECT_EQ(Overrun, 0) << Program.name() << ": evalRange wrote past the "
+                          << Length << "-cell row";
+  }
+}
+
+} // namespace
+
+TEST(ExprPlanSuite, EvalRangeMatchesTreeWalkAcrossBatchSeams) {
+  for (const std::string &Name : benchmarkStencilNames())
+    for (ScalarType Type : {ScalarType::Float, ScalarType::Double}) {
+      auto P = makeBenchmarkStencil(Name, Type);
+      ASSERT_TRUE(P) << Name;
+      if (Type == ScalarType::Float)
+        checkBatchSeams<float>(*P);
+      else
+        checkBatchSeams<double>(*P);
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -237,30 +356,27 @@ void checkReferenceEquivalence(const StencilProgram &Program,
   EXPECT_EQ(countBitMismatches(Tree1, Tape1), 0u) << Program.name();
 }
 
+/// Runs the tape emulator and referenceRun's tree walk from one input and
+/// compares the result buffers bit for bit.
 template <typename T>
 void checkBlockedEquivalence(const StencilProgram &Program,
-                             long long TimeSteps) {
+                             const BlockConfig &Config, long long TimeSteps,
+                             std::uint64_t Seed) {
   std::vector<long long> Extents = testExtents(Program.numDims());
-  BlockConfig Config = testConfig(Program);
   int Halo = Program.radius();
   Grid<T> Tree0(Extents, Halo), Tree1(Extents, Halo);
-  fillGridDeterministic(Tree0, 7);
+  fillGridDeterministic(Tree0, Seed);
   copyGrid(Tree0, Tree1);
   Grid<T> Tape0 = Tree0, Tape1 = Tree0;
-  Grid<T> Ref0 = Tree0, Ref1 = Tree0;
 
-  BlockedExecOptions TreeOptions;
-  TreeOptions.Strategy = EvalStrategy::TreeWalk;
-  blockedRun<T>(Program, Config, {&Tree0, &Tree1}, TimeSteps, TreeOptions);
+  referenceRun<T>(Program, {&Tree0, &Tree1}, TimeSteps,
+                  EvalStrategy::TreeWalk);
   blockedRun<T>(Program, Config, {&Tape0, &Tape1}, TimeSteps);
-  referenceRun<T>(Program, {&Ref0, &Ref1}, TimeSteps);
 
-  EXPECT_EQ(countBitMismatches(Tree0, Tape0), 0u) << Program.name();
-  EXPECT_EQ(countBitMismatches(Tree1, Tape1), 0u) << Program.name();
-  const Grid<T> &Want = TimeSteps % 2 == 0 ? Ref0 : Ref1;
+  const Grid<T> &Want = TimeSteps % 2 == 0 ? Tree0 : Tree1;
   const Grid<T> &Got = TimeSteps % 2 == 0 ? Tape0 : Tape1;
   EXPECT_EQ(countBitMismatches(Want, Got), 0u)
-      << Program.name() << " vs reference";
+      << Program.name() << " vs tree-walk reference";
 }
 
 template <typename T>
@@ -319,9 +435,9 @@ TEST(ExprPlanSuite, BlockedTapeMatchesTreeWalkEverywhere) {
       auto P = makeBenchmarkStencil(Name, Type);
       ASSERT_TRUE(P) << Name;
       if (Type == ScalarType::Float)
-        checkBlockedEquivalence<float>(*P, 3);
+        checkBlockedEquivalence<float>(*P, testConfig(*P), 3, 7);
       else
-        checkBlockedEquivalence<double>(*P, 3);
+        checkBlockedEquivalence<double>(*P, testConfig(*P), 3, 7);
     }
 }
 
@@ -339,46 +455,7 @@ TEST(ExprPlanSuite, PoisonedHaloTapeMatchesReferenceEverywhere) {
 
 TEST(ExprPlanSuite, ChunkedStreamingStaysEquivalent) {
   // Section 4.2.3 chunking (HS > 0) exercises a different ring schedule;
-  // the tape must stay bit-identical there too.
+  // the tape emulator must stay bit-identical there too.
   auto P = makeJacobi2d5pt(ScalarType::Float);
-  std::vector<long long> Extents = testExtents(2);
-  BlockConfig Config = testConfig(*P, /*HS=*/8);
-  Grid<float> Tree0(Extents, 1), Tree1(Extents, 1);
-  fillGridDeterministic(Tree0, 5);
-  copyGrid(Tree0, Tree1);
-  Grid<float> Tape0 = Tree0, Tape1 = Tree0;
-
-  BlockedExecOptions TreeOptions;
-  TreeOptions.Strategy = EvalStrategy::TreeWalk;
-  blockedRun<float>(*P, Config, {&Tree0, &Tree1}, 5, TreeOptions);
-  blockedRun<float>(*P, Config, {&Tape0, &Tape1}, 5);
-
-  EXPECT_EQ(countBitMismatches(Tree0, Tape0), 0u);
-  EXPECT_EQ(countBitMismatches(Tree1, Tape1), 0u);
-}
-
-TEST(ExprPlanSuite, StatsIdenticalAcrossStrategies) {
-  // The operation census is schedule-determined, not engine-determined.
-  auto P = makeStarStencil(2, 2, ScalarType::Float);
-  std::vector<long long> Extents = testExtents(2);
-  BlockConfig Config = testConfig(*P);
-
-  auto RunWith = [&](EvalStrategy Strategy) {
-    Grid<float> A(Extents, P->radius()), B(Extents, P->radius());
-    fillGridDeterministic(A, 3);
-    copyGrid(A, B);
-    BlockedExecStats Stats;
-    BlockedExecOptions Options;
-    Options.Strategy = Strategy;
-    Options.Stats = &Stats;
-    blockedRun<float>(*P, Config, {&A, &B}, 4, Options);
-    return Stats;
-  };
-
-  BlockedExecStats Tape = RunWith(EvalStrategy::CompiledTape);
-  BlockedExecStats Tree = RunWith(EvalStrategy::TreeWalk);
-  EXPECT_EQ(Tape.GmReadOps, Tree.GmReadOps);
-  EXPECT_EQ(Tape.GmWriteOps, Tree.GmWriteOps);
-  EXPECT_EQ(Tape.ComputeOps, Tree.ComputeOps);
-  EXPECT_GT(Tape.ComputeOps, 0);
+  checkBlockedEquivalence<float>(*P, testConfig(*P, /*HS=*/8), 5, 5);
 }
