@@ -18,11 +18,12 @@
 /// the tape emulator comfortably (specialized constants, no interpreter
 /// dispatch, parallel blocks). BM_NativeOmp_star3d1r_host_block times the
 /// host-menu shape native tunes pick for star3d1r (bT=4 bS=32x512 hS=128
-/// on 192^3 x 16). The 1D cases cover the pure-streaming
-/// kernel (empty bS, OpenMP over hS chunks). Kernels compile once into a
-/// per-user cache (AN5D_KERNEL_CACHE overrides), so repeat runs skip
-/// compilation; tools/bench_emulator.sh dumps the results to
-/// BENCH_native.json.
+/// on 192^3 x 16), BM_NativeOmp_j2d5pt_host_block a 2D host-menu shape
+/// (bT=14 bS=1024 hS=256 on 512^2 x 32). The 1D cases cover the
+/// pure-streaming kernel (empty bS, OpenMP over hS chunks). Kernels
+/// compile once into a per-user cache (AN5D_KERNEL_CACHE overrides), so
+/// repeat runs skip compilation; tools/bench_emulator.sh dumps the results
+/// to BENCH_native.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -237,6 +238,24 @@ static void BM_NativeOmp_j2d5pt_double(benchmark::State &State) {
                          static_cast<int>(State.range(0)));
 }
 BENCHMARK(BM_NativeOmp_j2d5pt_double)
+    ->Arg(1)
+    ->Arg(4)
+    ->ArgName("threads")
+    ->Unit(benchmark::kMillisecond);
+
+// j2d5pt at a host-menu shape: bT=14 bS=1024 hS=256 on the native tune
+// problem (512^2 x 32), where one block spans each row and its ring rows
+// shrink to the row and its halo. The scenario above (bS=128 bT=4) is a
+// shape the host menu never offers, since its narrowest 2D bS is 256.
+static void BM_NativeOmp_j2d5pt_host_block(benchmark::State &State) {
+  Scenario S = makeScenario("j2d5pt");
+  S.Config.BT = 14;
+  S.Config.BS = {1024};
+  S.Config.HS = 256;
+  S.Steps = 32;
+  runNativeBench<float>(State, S, static_cast<int>(State.range(0)));
+}
+BENCHMARK(BM_NativeOmp_j2d5pt_host_block)
     ->Arg(1)
     ->Arg(4)
     ->ArgName("threads")

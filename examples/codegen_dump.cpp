@@ -41,7 +41,8 @@ int main(int argc, char **argv) {
   }
 
   std::filesystem::create_directories("an5d_generated");
-  GeneratedCuda Cuda = generateCuda(*Program, Outcome.Best);
+  GeneratedCuda Cuda =
+      generateCuda(*Program, lowerSchedule(*Program, Outcome.Best));
 
   std::string Base = "an5d_generated/" + Cuda.KernelName;
   {
@@ -65,7 +66,7 @@ int main(int argc, char **argv) {
       C.BT = 1;
     Small.TimeSteps = 11;
     std::ofstream Out(Base + "_check.cpp");
-    Out << generateCppCheckProgram(*Program, C, Small);
+    Out << generateCppCheckProgram(*Program, lowerSchedule(*Program, C), Small);
   } else {
     Small.Extents = {14, 12, 12};
     BlockConfig C;
@@ -76,7 +77,7 @@ int main(int argc, char **argv) {
       C.BT = 1;
     Small.TimeSteps = 7;
     std::ofstream Out(Base + "_check.cpp");
-    Out << generateCppCheckProgram(*Program, C, Small);
+    Out << generateCppCheckProgram(*Program, lowerSchedule(*Program, C), Small);
   }
 
   std::printf("wrote:\n  %s.cu\n  %s_host.cpp\n  %s_check.cpp\n"

@@ -55,7 +55,8 @@ int main() {
               Outcome.BestMeasured.MeasuredGflops);
 
   // 4. Generate the CUDA pair.
-  GeneratedCuda Cuda = generateCuda(Program, Outcome.Best);
+  GeneratedCuda Cuda =
+      generateCuda(Program, lowerSchedule(Program, Outcome.Best));
   std::printf("== generated CUDA ==\n  kernel %s: %zu bytes of kernel "
               "source, %zu bytes of host source\n\n",
               Cuda.KernelName.c_str(), Cuda.KernelSource.size(),

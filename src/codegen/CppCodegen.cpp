@@ -49,8 +49,8 @@ static std::string laneOffset(int Count, const std::string &Unit) {
 }
 
 /// The update expression of the 2D/3D compute loops: the read of plane
-/// p+ds at blocked offset (d1[, d2]) indexes the restrict ring row
-/// row<ds+RAD> at `lane` plus the offset (in 3D, d1 rows of W2 lanes), so
+/// p+ds indexes the restrict ring row row<ds+RAD> at `lane` plus its last
+/// offset, and a middle (3D row) offset d1 adds d1 rows of W2 lanes, so
 /// the loop body is one inlinable expression (no per-lane closure the
 /// vectorizer must spill).
 static std::string emitLaneUpdate(const StencilProgram &Program, int Rad,
@@ -58,20 +58,18 @@ static std::string emitLaneUpdate(const StencilProgram &Program, int Rad,
   return emitUpdateExpr(Program, Mode, [Rad](const GridReadExpr &Read) {
     const std::vector<int> &Off = Read.offsets();
     std::string Out = "row" + std::to_string(Off[0] + Rad) + "[lane";
-    if (Off.size() == 2)
-      Out += laneOffset(Off[1], "");
-    else
-      Out += laneOffset(Off[1], "W2") + laneOffset(Off[2], "");
-    return Out + "]";
+    for (size_t D = 1; D + 1 < Off.size(); ++D)
+      Out += laneOffset(Off[D], "W2");
+    return Out + laneOffset(Off.back(), "") + "]";
   });
 }
 
 /// Declares the 2*RAD+1 restrict row pointers a tier reads its producer
 /// through, once per plane: row<K> is plane p + K - RAD of tier - 1.
-static std::string emitRingRows(int Radius, const std::string &Indent) {
+static std::string emitRingRows(int Radius) {
   std::string Out;
   for (int K = 0; K <= 2 * Radius; ++K)
-    Out += Indent + "const Real *__restrict__ row" + std::to_string(K) +
+    Out += "              const Real *__restrict__ row" + std::to_string(K) +
            " = ring(tier - 1, p" + laneOffset(K - Radius, "") + ");\n";
   return Out;
 }
@@ -117,12 +115,17 @@ static std::string emitPrelude(const StencilProgram &Program,
   Out += "static const int RAD = " + std::to_string(IR.Radius) + ";\n";
   if (Check)
     Out += "static const int BT = " + std::to_string(IR.Config.BT) + ";\n";
-  if (NumDims >= 2)
-    Out += "static const int BS1 = " + std::to_string(IR.Config.BS[0]) +
+  if (NumDims >= 2) {
+    Out += "// The blocked axes: rows (axis 1) of BS1 with a halo of RAD1,\n"
+           "// and lanes (the last axis) of BS2. A 2D grid is one row.\n";
+    Out += "static const int DIMS = " + std::to_string(NumDims) + ";\n";
+    Out += "static const int BS1 = " +
+           std::to_string(NumDims == 3 ? IR.Config.BS[0] : 1) + ";\n";
+    Out += "static const int RAD1 = " +
+           std::string(NumDims == 3 ? "RAD" : "0") + ";\n";
+    Out += "static const int BS2 = " + std::to_string(IR.Config.BS.back()) +
            ";\n";
-  if (NumDims == 3)
-    Out += "static const int BS2 = " + std::to_string(IR.Config.BS[1]) +
-           ";\n";
+  }
 
   if (Check) {
     assert(Problem && "check programs bake the problem size in");
@@ -361,133 +364,19 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 )cpp";
 }
 
-/// The blocked invocation for 2D stencils (one blocked dimension). Shared
-/// verbatim between the check program and the kernel library; the OpenMP
-/// pragmas are inert without -fopenmp. \p Rows declares the producer's
-/// ring rows and \p Update is the inline update expression over them.
-static std::string emitBlocked2d(const std::string &Rows,
-                                 const std::string &Update) {
-  return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
-// over the grid `ext` with stream chunks of at most `hs` planes. Every
-// (chunk, block) pair reads only `in` plus its own rings and writes a
-// disjoint region of `out`, so the pair loop is an OpenMP worksharing loop
-// when compiled with -fopenmp (rings are per-thread); it hands the pairs
-// out dynamically, so a thread that finishes a short one takes the next.
-// Each tier of an interior sub-plane computes one branch-free lane range
-// as an `omp simd` loop and pins the grid-halo lanes around it to the
-// input. Nothing else is written: a tier reads only its producer's valid
-// region (AN5D-A212), so no value is carried across the halo and no lane
-// past the grid halo is ever read.
-static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
-  const long long ns = ext[0], n1 = ext[1];
-  // Offset of cell (i, j) in the padded row-major grid.
-  auto idx = [n1](long long i, long long j) {
-    return (size_t)((i + RAD) * (n1 + 2 * RAD) + (j + RAD));
-  };
-  const long long cw = BS1 - 2LL * degree * RAD; // compute-region width
-  const long long nblocks = (n1 + cw - 1) / cw;
-  const long long nchunks = streamChunks(ns, hs);
-  const int ringDepth = 2 * RAD + 1;
-  const size_t tierSize = (size_t)ringDepth * BS1;
-#ifdef _OPENMP
-#pragma omp parallel
-#endif
-  {
-    // Every tier's ring in one allocation; a row holds one sub-plane.
-    // Zeroed once so no lane is indeterminate; each item writes every
-    // lane it reads before reading it, so items need no reset.
-    Real *rings = new Real[(size_t)degree * tierSize];
-    zeroN(rings, (long long)(degree * tierSize));
-    auto ring = [&](int tier, long long p) {
-      long long m = p % ringDepth;
-      return rings + (size_t)tier * tierSize + (size_t)(m < 0 ? m + ringDepth : m) * BS1;
-    };
-#ifdef _OPENMP
-#pragma omp for collapse(2) schedule(dynamic)
-#endif
-    for (long long chunk = 0; chunk < nchunks; ++chunk)
-      for (long long b = 0; b < nblocks; ++b) {
-        long long c0, c1;
-        chunkBounds(chunk, nchunks, ns, &c0, &c1);
-        const long long origin = b * cw;
-        const long long spanLo = origin - (long long)degree * RAD;
-        // Lanes inLo <= lane < inHi lie inside the grid, exLo <= lane <
-        // exHi inside the grid or its halo.
-        const long long inLo = lmax(-spanLo, 0);
-        const long long inHi = lmin(n1 - spanLo, BS1);
-        const long long exLo = lmax(-RAD - spanLo, 0);
-        const long long exHi = lmin(n1 + RAD - spanLo, BS1);
-        // Pins lanes lo <= lane < hi of sub-plane p to the input.
-        auto pin = [&](Real *dst, long long p, long long lo, long long hi) {
-          copyN(dst + lo, in + idx(p, spanLo + lo), hi - lo);
-        };
-        const long long sBegin = c0 - (long long)degree * RAD;
-        const long long sEnd = c1 - 1 + (long long)degree * RAD;
-        for (long long s = sBegin; s <= sEnd; ++s) {
-          // Tier 0: load one sub-plane from "global memory".
-          {
-            const long long lo = lmax(c0 - (long long)degree * RAD, -RAD);
-            const long long hi = lmin(c1 - 1 + (long long)degree * RAD, ns - 1 + RAD);
-            if (s >= lo && s <= hi)
-              pin(ring(0, s), s, exLo, exHi);
-          }
-          // Tiers 1..degree: each lags its producer by one radius.
-          for (int tier = 1; tier <= degree; ++tier) {
-            const long long p = s - (long long)tier * RAD;
-            const long long reach = (long long)(degree - tier) * RAD;
-            const long long lo = lmax(c0 - reach, -RAD);
-            const long long hi = lmin(c1 - 1 + reach, ns - 1 + RAD);
-            if (p < lo || p > hi)
-              continue;
-            const bool interiorPlane = p >= 0 && p < ns;
-            if (tier < degree && !interiorPlane) {
-              // Boundary sub-planes pinned to the input.
-              pin(ring(tier, p), p, exLo, exHi);
-              continue;
-            }
-            if (tier == degree && (!interiorPlane || p < c0 || p >= c1))
-              continue;
-            // The compute range: interior lanes within the tier's reach.
-            const long long clo = lmax(inLo, (long long)tier * RAD);
-            const long long chi = lmin(inHi, BS1 - (long long)tier * RAD);
-)cpp" + Rows +
-         R"cpp(            if (tier < degree) {
-              Real *__restrict__ dst = ring(tier, p);
-              // The grid-halo strips; the next tier reads no other lane
-              // outside the compute range.
-              pin(dst, p, exLo, inLo);
-              pin(dst, p, inHi, exHi);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-              for (long long lane = clo; lane < chi; ++lane)
-                dst[lane] = )cpp" +
-         Update + R"cpp(;
-            } else {
-              Real *__restrict__ dst = out + idx(p, 0);
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-              for (long long lane = clo; lane < chi; ++lane)
-                dst[spanLo + lane] = )cpp" +
-         Update + R"cpp(;
-            }
-          }
-        }
-      }
-    delete[] rings;
-  }
-}
-
-)cpp";
-}
-
-/// The blocked invocation for 3D stencils (two blocked dimensions). Lanes
-/// are row-major over the blocked axes, so the compute loops run per
-/// blocked row over the contiguous bS2 axis; a ring row is W2 lanes long,
-/// bS2 clipped to the lanes a block of the run can touch.
-static std::string emitBlocked3d(const std::string &Rows,
-                                 const std::string &Update) {
+/// The blocked invocation for 2D and 3D stencils: spatial blocking over
+/// the non-streamed axes (Section 4). Lanes are row-major over the blocked
+/// axes, so the compute loops run per blocked row over the contiguous lane
+/// axis; a ring row is W2 lanes long, BS2 clipped to the lanes a block of
+/// the run can touch. A 2D stencil is the 3D kernel with one row per
+/// block: its prelude gives the row axis BS1 = 1 and no halo (RAD1 = 0)
+/// and its grid one row, so the row loop runs once and no halo row is
+/// pinned. Shared verbatim between the check program and the kernel
+/// library; the OpenMP pragmas are inert without -fopenmp. \p Rows
+/// declares the producer's ring rows and \p Update is the inline update
+/// expression over them.
+static std::string emitBlockedRows(const std::string &Rows,
+                                   const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
 // over the grid `ext` with stream chunks of at most `hs` planes. Every
 // (chunk, block) triple reads only `in` plus its own rings and writes a
@@ -500,12 +389,12 @@ static std::string emitBlocked3d(const std::string &Rows,
 // only its producer's valid region (AN5D-A212), so no value is carried
 // across the halo and no lane past the grid halo is ever read.
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
-  const long long ns = ext[0], n1 = ext[1], n2 = ext[2];
+  const long long ns = ext[0], n1 = DIMS == 3 ? ext[1] : 1, n2 = ext[DIMS - 1];
   // Offset of cell (i, j, k) in the padded row-major grid.
   auto idx = [n1, n2](long long i, long long j, long long k) {
-    return (size_t)(((i + RAD) * (n1 + 2 * RAD) + (j + RAD)) * (n2 + 2 * RAD) + (k + RAD));
+    return (size_t)(((i + RAD) * (n1 + 2 * RAD1) + (j + RAD1)) * (n2 + 2 * RAD) + (k + RAD));
   };
-  const long long cw1 = BS1 - 2LL * degree * RAD;
+  const long long cw1 = BS1 - 2LL * degree * RAD1;
   const long long cw2 = BS2 - 2LL * degree * RAD;
   const long long nb1 = (n1 + cw1 - 1) / cw1;
   const long long nb2 = (n2 + cw2 - 1) / cw2;
@@ -540,13 +429,13 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
           long long c0, c1;
           chunkBounds(chunk, nchunks, ns, &c0, &c1);
           const long long o1 = b1 * cw1, o2 = b2 * cw2;
-          const long long lo1 = o1 - (long long)degree * RAD;
+          const long long lo1 = o1 - (long long)degree * RAD1;
           const long long lo2 = o2 - (long long)degree * RAD;
           // Per blocked axis, lanes from in*Lo up to in*Hi lie inside the
           // grid and from ex*Lo up to ex*Hi inside the grid or its halo.
           const long long in1Lo = lmax(-lo1, 0), in1Hi = lmin(n1 - lo1, BS1);
           const long long in2Lo = lmax(-lo2, 0), in2Hi = lmin(n2 - lo2, BS2);
-          const long long ex1Lo = lmax(-RAD - lo1, 0), ex1Hi = lmin(n1 + RAD - lo1, BS1);
+          const long long ex1Lo = lmax(-RAD1 - lo1, 0), ex1Hi = lmin(n1 + RAD1 - lo1, BS1);
           const long long ex2Lo = lmax(-RAD - lo2, 0), ex2Hi = lmin(n2 + RAD - lo2, BS2);
           // Pins lanes lo <= k < hi of blocked rows r0 <= r < r1 of
           // sub-plane p to the input.
@@ -581,8 +470,8 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
                 continue;
               // The compute range: interior rows rlo <= r < rhi and lanes
               // klo <= k < khi within the tier's reach.
-              const long long rlo = lmax(in1Lo, (long long)tier * RAD);
-              const long long rhi = lmin(in1Hi, BS1 - (long long)tier * RAD);
+              const long long rlo = lmax(in1Lo, (long long)tier * RAD1);
+              const long long rhi = lmin(in1Hi, BS1 - (long long)tier * RAD1);
               const long long klo = lmax(in2Lo, (long long)tier * RAD);
               const long long khi = lmin(in2Hi, BS2 - (long long)tier * RAD);
 )cpp" + Rows +
@@ -722,12 +611,9 @@ static std::string emitKernelApi(const StencilProgram &Program) {
          "    return 1;\n"
          "  if (bt < 1 || hs < 0)\n"
          "    return 1;\n";
-  if (NumDims >= 2) {
-    Out += "  if (BS1 - 2LL * bt * RAD < 1";
-    if (NumDims == 3)
-      Out += " || BS2 - 2LL * bt * RAD < 1";
-    Out += ")\n    return 1;\n";
-  }
+  if (NumDims >= 2)
+    Out += "  if (BS1 - 2LL * bt * RAD1 < 1 || BS2 - 2LL * bt * RAD < 1)\n"
+           "    return 1;\n";
   Out += "  if (extents[0] < 1";
   if (NumDims >= 2)
     Out += " || extents[1] < 1";
@@ -756,11 +642,8 @@ static std::string emitBlocked(const StencilProgram &Program,
                                const ScheduleIR &IR, CppEmitMode Mode) {
   if (IR.NumDims == 1)
     return emitBlocked1d();
-  const std::string Update = emitLaneUpdate(Program, IR.Radius, Mode);
-  if (IR.NumDims == 2)
-    return emitBlocked2d(emitRingRows(IR.Radius, std::string(12, ' ')),
-                         Update);
-  return emitBlocked3d(emitRingRows(IR.Radius, std::string(14, ' ')), Update);
+  return emitBlockedRows(emitRingRows(IR.Radius),
+                         emitLaneUpdate(Program, IR.Radius, Mode));
 }
 
 std::string generateCppCheckProgram(const StencilProgram &Program,
@@ -781,13 +664,6 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
   return Out;
 }
 
-std::string generateCppCheckProgram(const StencilProgram &Program,
-                                    const BlockConfig &Config,
-                                    const ProblemSize &Problem) {
-  return generateCppCheckProgram(Program, lowerSchedule(Program, Config),
-                                 Problem);
-}
-
 std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule) {
   assert(Schedule.NumDims >= 1 && Schedule.NumDims <= 3 &&
@@ -802,11 +678,6 @@ std::string generateCppKernelLibrary(const StencilProgram &Program,
   Out += emitBlocked(Program, Schedule, CppEmitMode::KernelLibrary);
   Out += emitKernelApi(Program);
   return Out;
-}
-
-std::string generateCppKernelLibrary(const StencilProgram &Program,
-                                     const BlockConfig &Config) {
-  return generateCppKernelLibrary(Program, lowerSchedule(Program, Config));
 }
 
 } // namespace an5d

@@ -9,7 +9,10 @@
 /// 1D (pure streaming: empty bS, one lane per hS chunk, OpenMP
 /// worksharing over chunks), 2D and 3D — in two modes sharing one
 /// blocked-invocation body (tier pipeline, halo overwrite, boundary
-/// pinning, stream division) and one host-side temporal scheduler:
+/// pinning, stream division) and one host-side temporal scheduler. 2D
+/// and 3D render from one template over blocked rows of contiguous lanes:
+/// a 2D stencil is the 3D kernel with one row per block (row block 1, no
+/// row halo, a grid of one row).
 ///
 ///  * **Self-check program** (generateCppCheckProgram): a standalone `main`
 ///    with a naive reference and a bitwise self-check, baking the problem
@@ -27,7 +30,7 @@
 ///    of a tune that shares a bS renders the same source and compiles
 ///    once. The library keeps no file-scope state (calls are reentrant)
 ///    and includes only <cstddef>, <cstring> and <omp.h>, plus <cmath>
-///    when the update calls a math function. The (chunk x block) pair
+///    when the update calls a math function. The (chunk x block) item
 ///    loop is an OpenMP worksharing loop when compiled with -fopenmp.
 ///    This is what the native runtime (src/runtime/) compiles, caches and
 ///    loads.
@@ -36,9 +39,9 @@
 /// evaluators (same expression tree, float literals round-tripped through
 /// float precision in kernel mode), so a kernel compiled with
 /// -ffp-contract=off reproduces ReferenceExecutor bit for bit. In 2D and
-/// 3D each tier computes its in-grid, in-reach lane range as one
-/// branch-free `omp simd` loop reading restrict ring rows, with the update
-/// expression inlined; vectorizing across cells leaves each cell's
+/// 3D each tier computes its in-grid, in-reach lane range of each row as
+/// one branch-free `omp simd` loop reading restrict ring rows, with the
+/// update expression inlined; vectorizing across cells leaves each cell's
 /// operations and their order unchanged, so the contract holds there too.
 ///
 //===----------------------------------------------------------------------===//
@@ -61,23 +64,12 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
                                     const ScheduleIR &Schedule,
                                     const ProblemSize &Problem);
 
-/// Convenience wrapper: lowers \p Config with lowerSchedule and renders
-/// the resulting IR.
-std::string generateCppCheckProgram(const StencilProgram &Program,
-                                    const BlockConfig &Config,
-                                    const ProblemSize &Problem);
-
 /// Renders the callable OpenMP kernel library from a lowered schedule:
 /// the translation unit the native runtime compiles into a shared
 /// object. It depends on the schedule's stencil and bS only: extents,
 /// time-steps, bT and hS are parameters of the exported `an5d_run`.
 std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule);
-
-/// Convenience wrapper: lowers \p Config with lowerSchedule and renders
-/// the resulting IR.
-std::string generateCppKernelLibrary(const StencilProgram &Program,
-                                     const BlockConfig &Config);
 
 /// The current `an5d_*` ABI version emitted into kernel libraries and
 /// checked by the loader before calling into one.

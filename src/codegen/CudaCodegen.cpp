@@ -615,10 +615,4 @@ GeneratedCuda generateCuda(const StencilProgram &Program,
   return Out;
 }
 
-GeneratedCuda generateCuda(const StencilProgram &Program,
-                           const BlockConfig &Config,
-                           const CodegenOptions &Options) {
-  return generateCuda(Program, lowerSchedule(Program, Config), Options);
-}
-
 } // namespace an5d

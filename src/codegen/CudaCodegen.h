@@ -31,7 +31,6 @@
 #define AN5D_CODEGEN_CUDACODEGEN_H
 
 #include "ir/StencilProgram.h"
-#include "model/BlockConfig.h"
 #include "schedule/ScheduleIR.h"
 
 #include <string>
@@ -62,12 +61,6 @@ struct GeneratedCuda {
 /// Renders CUDA for \p Program from a lowered schedule.
 GeneratedCuda generateCuda(const StencilProgram &Program,
                            const ScheduleIR &Schedule,
-                           const CodegenOptions &Options = {});
-
-/// Convenience wrapper: lowers \p Config with lowerSchedule and renders
-/// the resulting IR.
-GeneratedCuda generateCuda(const StencilProgram &Program,
-                           const BlockConfig &Config,
                            const CodegenOptions &Options = {});
 
 } // namespace an5d

@@ -72,13 +72,17 @@ std::vector<BlockConfig> hostMenu(int NumDims) {
 /// Most ring bytes per kernel thread a native candidate may allocate on
 /// the ranked problem: bT * (2*radius + 1) * prod(bS) * element bytes,
 /// with the contiguous 3D axis clipped as the kernel sizes its ring rows,
-/// to min(bS2, N2 + 2*bT*radius). It keeps every thread's rings within
-/// its share of L2 and bounds the tune's memory. Ranked on 64-cell rows
-/// (nativeMeasurementProblem), a 3D ring grows at most 512/64 = 8 times
-/// on longer rows, to 2 MiB.
+/// to min(bS2, N2 + 2*bT*radius). The 2D budget counts unclipped bS-lane
+/// rows. The kernel clips 2D ring rows the same way, so a block wider
+/// than the tune problem's rows allocates less there, but the count is
+/// exact on the grids the picks run on, whose rows are wider than every
+/// 2D bS. It keeps every thread's rings within its share of L2 and bounds
+/// the tune's memory. Ranked on 64-cell rows (nativeMeasurementProblem),
+/// a 3D ring grows at most 512/64 = 8 times on longer rows, to 2 MiB.
 constexpr long long HostRingBudgetBytes = 256 * 1024;
 
-/// The ring bytes per kernel thread \p Config allocates on \p Problem.
+/// The ring bytes per kernel thread that HostRingBudgetBytes charges
+/// \p Config on \p Problem.
 long long hostRingBytes(const StencilProgram &Program,
                         const BlockConfig &Config,
                         const ProblemSize &Problem) {

@@ -18,14 +18,16 @@
 ///     rank a host menu instead (rankByHostCost): 2D bS in
 ///     {256,...,2048}, 3D bS1 in {8,16,32,64} by a contiguous bS2 of 512
 ///     (one block spans each row of the tune problem), no thread cap, at
-///     most 256 KiB of rings per thread as the kernel allocates them on
-///     the tune problem, one candidate per run on the tune problem (same
-///     bT, stream chunks and bS on every axis one block does not cover;
-///     the narrowest bS stays), scored by a CPU cost of SIMD rows, thread
-///     balance and the cells the load stage copies, over the stream split
-///     the kernel runs (2D/3D: near-equal chunks of at most hS planes, at
-///     least one per kernel thread). Each ranked candidate is lowered to
-///     its ScheduleIR once, and the standard analysis pipeline
+///     most 256 KiB of rings per thread (3D ring rows clipped to the tune
+///     problem as the kernel clips them; 2D rows counted at their full
+///     bS, which is exact on grid rows wider than bS), one candidate per
+///     run on the tune problem (same bT, stream chunks and bS on every
+///     axis one block does not cover; the narrowest bS stays), scored by
+///     a CPU cost of SIMD rows, thread balance and the cells the load
+///     stage copies, over the stream split the kernel runs (2D/3D:
+///     near-equal chunks of at most hS planes, at least one per kernel
+///     thread). Each ranked candidate is lowered to its ScheduleIR once,
+///     and the standard analysis pipeline
 ///     (analysis/passes/AnalysisPass.h) is the one static gate: a
 ///     candidate with an Error finding never reaches stage 2.
 ///

@@ -81,8 +81,8 @@ TEST(KernelLint, AllGeneratedKernelLibrariesAreClean) {
         C.BS = {16, 16};
       C.HS = 128;
       LintReport Report = lintTranslationUnit(
-          generateCppKernelLibrary(*Program, C), LintTarget::KernelLibrary,
-          Type);
+          generateCppKernelLibrary(*Program, lowerSchedule(*Program, C)),
+          LintTarget::KernelLibrary, Type);
       EXPECT_TRUE(Report.clean())
           << Name << " "
           << (Type == ScalarType::Float ? "float" : "double") << ":\n"
@@ -112,7 +112,8 @@ TEST(KernelLint, AllGeneratedCheckProgramsAreClean) {
                             : std::vector<long long>{14, 12, 11};
       Problem.TimeSteps = 11;
       LintReport Report = lintTranslationUnit(
-          generateCppCheckProgram(*Program, C, Problem),
+          generateCppCheckProgram(*Program, lowerSchedule(*Program, C),
+                                  Problem),
           LintTarget::CheckProgram, Type);
       EXPECT_TRUE(Report.clean())
           << Name << " "
@@ -176,7 +177,7 @@ TEST(KernelLint, GeneratedCudaKernelIsClean) {
   C.BT = 2;
   C.BS = {32, 16};
   C.HS = 128;
-  GeneratedCuda Cuda = generateCuda(*P, C);
+  GeneratedCuda Cuda = generateCuda(*P, lowerSchedule(*P, C));
   LintReport Report = lintTranslationUnit(Cuda.KernelSource,
                                           LintTarget::CudaKernel,
                                           ScalarType::Float);
@@ -196,7 +197,7 @@ std::string cleanLibrarySource() {
   C.BT = 2;
   C.BS = {64};
   C.HS = 128;
-  return generateCppKernelLibrary(*P, C);
+  return generateCppKernelLibrary(*P, lowerSchedule(*P, C));
 }
 
 /// Replaces the first occurrence of \p From in \p Text with \p To,
@@ -311,7 +312,7 @@ TEST(KernelLintMutation, SuffixedLiteralInDoubleTuIsFlagged) {
   C.BT = 2;
   C.BS = {64};
   C.HS = 128;
-  std::string Source = generateCppKernelLibrary(*P, C);
+  std::string Source = generateCppKernelLibrary(*P, lowerSchedule(*P, C));
   ASSERT_TRUE(lintTranslationUnit(Source, LintTarget::KernelLibrary,
                                   ScalarType::Double)
                   .clean());

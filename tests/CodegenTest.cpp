@@ -31,12 +31,12 @@ void expectBalanced(const std::string &Source) {
   EXPECT_EQ(Brackets, 0);
 }
 
-BlockConfig config2d(int BT, int BS, int HS = 0) {
+ScheduleIR lowered2d(const StencilProgram &P, int BT, int BS, int HS = 0) {
   BlockConfig C;
   C.BT = BT;
   C.BS = {BS};
   C.HS = HS;
-  return C;
+  return lowerSchedule(P, C);
 }
 
 } // namespace
@@ -88,7 +88,7 @@ TEST(ExprEmitter, MathCallsFollowElementType) {
 
 TEST(CudaCodegen, KernelHasMacroPipeline) {
   auto P = makeJacobi2d5pt(ScalarType::Float);
-  GeneratedCuda Code = generateCuda(*P, config2d(4, 128, 128));
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 4, 128, 128));
   EXPECT_EQ(Code.KernelName, "an5d_j2d5pt_bt4");
 
   // One CALC macro per intermediate time-step; the final tier computes
@@ -116,7 +116,7 @@ TEST(CudaCodegen, KernelHasMacroPipeline) {
 
 TEST(CudaCodegen, FixedRegisterAllocationDeclared) {
   auto P = makeJacobi2d5pt(ScalarType::Float);
-  GeneratedCuda Code = generateCuda(*P, config2d(4, 128, 128));
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 4, 128, 128));
   // bT=4 tiers x (2*rad+1)=3 registers: reg_0_0 .. reg_3_2 (Fig. 5).
   for (int T = 0; T < 4; ++T)
     for (int M = 0; M < 3; ++M)
@@ -129,13 +129,14 @@ TEST(CudaCodegen, FixedRegisterAllocationDeclared) {
 
 TEST(CudaCodegen, SmemWrapperEmittedAndOptional) {
   auto P = makeJacobi2d5pt(ScalarType::Float);
-  GeneratedCuda WithWrapper = generateCuda(*P, config2d(4, 128, 128));
+  GeneratedCuda WithWrapper = generateCuda(*P, lowered2d(*P, 4, 128, 128));
   EXPECT_NE(WithWrapper.KernelSource.find("__an5d_sm_load"),
             std::string::npos);
 
   CodegenOptions NoWrapper;
   NoWrapper.DisableVectorizedSmemAccess = false;
-  GeneratedCuda Without = generateCuda(*P, config2d(4, 128, 128), NoWrapper);
+  GeneratedCuda Without =
+      generateCuda(*P, lowered2d(*P, 4, 128, 128), NoWrapper);
   EXPECT_EQ(Without.KernelSource.find("__an5d_sm_load"), std::string::npos);
 }
 
@@ -150,14 +151,14 @@ TEST(CudaCodegen, GeneralStencilGetsMultiPlaneSmem) {
       Update = makeAdd(std::move(Update), makeGridRead("A", {I, J}));
     }
   StencilProgram P("nonassoc", 2, ScalarType::Float, "A", std::move(Update));
-  GeneratedCuda Code = generateCuda(P, config2d(2, 64));
+  GeneratedCuda Code = generateCuda(P, lowered2d(P, 2, 64));
   EXPECT_NE(Code.KernelSource.find("sm[2][2 * RAD + 1]"),
             std::string::npos);
 }
 
 TEST(CudaCodegen, HostImplementsScheduleAndSwap) {
   auto P = makeJacobi2d5pt(ScalarType::Float);
-  GeneratedCuda Code = generateCuda(*P, config2d(4, 128, 128));
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 4, 128, 128));
   EXPECT_NE(Code.HostSource.find("an5d_schedule"), std::string::npos);
   EXPECT_NE(Code.HostSource.find("I_T % 2"), std::string::npos);
   EXPECT_NE(Code.HostSource.find("in ^= 1"), std::string::npos);
@@ -172,7 +173,7 @@ TEST(CudaCodegen, ThreeDimensionalKernel) {
   C.BT = 3;
   C.BS = {32, 16};
   C.HS = 128;
-  GeneratedCuda Code = generateCuda(*P, C);
+  GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, C));
   EXPECT_NE(Code.KernelSource.find("threadIdx.y"), std::string::npos);
   EXPECT_NE(Code.KernelSource.find("#define BS_Y 32"), std::string::npos);
   EXPECT_NE(Code.KernelSource.find("#define BS_X 16"), std::string::npos);
@@ -181,13 +182,13 @@ TEST(CudaCodegen, ThreeDimensionalKernel) {
 
 TEST(CudaCodegen, InnerLoopRollsByRingDepth) {
   auto P = makeJacobi2d9pt(ScalarType::Float); // rad 2 -> ring depth 5
-  GeneratedCuda Code = generateCuda(*P, config2d(2, 128, 256));
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 2, 128, 256));
   EXPECT_NE(Code.KernelSource.find("s += 5"), std::string::npos);
 }
 
 TEST(CudaCodegen, HighDegreeBt10Generates) {
   auto P = makeStarStencil(2, 1, ScalarType::Float);
-  GeneratedCuda Code = generateCuda(*P, config2d(10, 256, 256));
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 10, 256, 256));
   for (int T = 1; T <= 9; ++T)
     EXPECT_NE(Code.KernelSource.find("CALC" + std::to_string(T) + "("),
               std::string::npos);
@@ -200,14 +201,14 @@ TEST(CudaCodegen, DisablingDaFreeOptFallsBackToMultiPlaneSmem) {
   auto P = makeJacobi2d5pt(ScalarType::Float);
   CodegenOptions Options;
   Options.EnableDiagonalAccessFreeOpt = false;
-  GeneratedCuda Code = generateCuda(*P, config2d(4, 128, 128), Options);
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 4, 128, 128), Options);
   EXPECT_NE(Code.KernelSource.find("sm[2][2 * RAD + 1]"),
             std::string::npos);
 }
 
 TEST(CudaCodegen, DisablingAssociativeOptOnBoxStencil) {
   auto P = makeJacobi2d9ptGol(ScalarType::Float); // associative box
-  GeneratedCuda WithOpt = generateCuda(*P, config2d(4, 128, 128));
+  GeneratedCuda WithOpt = generateCuda(*P, lowered2d(*P, 4, 128, 128));
   EXPECT_NE(WithOpt.KernelSource.find("partial summation"),
             std::string::npos);
   EXPECT_EQ(WithOpt.KernelSource.find("sm[2][2 * RAD + 1]"),
@@ -216,7 +217,7 @@ TEST(CudaCodegen, DisablingAssociativeOptOnBoxStencil) {
 
   CodegenOptions Options;
   Options.EnableAssociativeOpt = false;
-  GeneratedCuda Without = generateCuda(*P, config2d(4, 128, 128), Options);
+  GeneratedCuda Without = generateCuda(*P, lowered2d(*P, 4, 128, 128), Options);
   EXPECT_EQ(Without.KernelSource.find("partial summation"),
             std::string::npos);
   EXPECT_NE(Without.KernelSource.find("sm[2][2 * RAD + 1]"),
@@ -227,9 +228,9 @@ TEST(CudaCodegen, UnrollSwitchEmitsPragma) {
   auto P = makeJacobi2d5pt(ScalarType::Float);
   CodegenOptions Options;
   Options.UnrollInnerLoop = true;
-  GeneratedCuda Code = generateCuda(*P, config2d(4, 128, 128), Options);
+  GeneratedCuda Code = generateCuda(*P, lowered2d(*P, 4, 128, 128), Options);
   EXPECT_NE(Code.KernelSource.find("#pragma unroll"), std::string::npos);
-  GeneratedCuda Default = generateCuda(*P, config2d(4, 128, 128));
+  GeneratedCuda Default = generateCuda(*P, lowered2d(*P, 4, 128, 128));
   EXPECT_EQ(Default.KernelSource.find("#pragma unroll"), std::string::npos)
       << "the paper found unrolling counterproductive; off by default";
 }
@@ -244,7 +245,7 @@ TEST(CppCodegen, GeneratesSelfCheckedProgram) {
   Problem.Extents = {40, 37};
   Problem.TimeSteps = 12;
   std::string Source =
-      generateCppCheckProgram(*P, config2d(4, 32, 8), Problem);
+      generateCppCheckProgram(*P, lowered2d(*P, 4, 32, 8), Problem);
   expectBalanced(Source);
   EXPECT_NE(Source.find("AN5D-CHECK OK"), std::string::npos);
   EXPECT_NE(Source.find("referenceStep"), std::string::npos);
@@ -299,7 +300,8 @@ TEST(CppCodegen, ThreeDimensionalVariant) {
   ProblemSize Problem;
   Problem.Extents = {15, 11, 13};
   Problem.TimeSteps = 5;
-  std::string Source = generateCppCheckProgram(*P, C, Problem);
+  std::string Source =
+      generateCppCheckProgram(*P, lowerSchedule(*P, C), Problem);
   expectBalanced(Source);
   EXPECT_NE(Source.find("using Real = double;"), std::string::npos);
   EXPECT_NE(Source.find("int d2"), std::string::npos)

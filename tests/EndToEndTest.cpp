@@ -75,7 +75,7 @@ TEST(EndToEnd, CudaGenerationForAllBenchmarks) {
     auto P = makeBenchmarkStencil(Name, ScalarType::Float);
     TuneOutcome Outcome = T.tune(*P, ProblemSize::paperDefault(P->numDims()));
     ASSERT_TRUE(Outcome.Feasible) << Name;
-    GeneratedCuda Code = generateCuda(*P, Outcome.Best);
+    GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, Outcome.Best));
     EXPECT_FALSE(Code.KernelSource.empty()) << Name;
     EXPECT_FALSE(Code.HostSource.empty()) << Name;
     EXPECT_NE(Code.KernelSource.find("__global__"), std::string::npos)
@@ -116,7 +116,8 @@ TEST(EndToEnd, GeneratedCppSelfCheck2d) {
   ProblemSize Problem;
   Problem.Extents = {40, 37};
   Problem.TimeSteps = 13; // exercises remainder + parity handling
-  std::string Source = generateCppCheckProgram(*P, Config, Problem);
+  std::string Source =
+      generateCppCheckProgram(*P, lowerSchedule(*P, Config), Problem);
   auto Result = compileAndRun(Source, "j2d5pt");
   if (!Result.has_value())
     GTEST_SKIP() << "no host compiler available";
@@ -132,7 +133,8 @@ TEST(EndToEnd, GeneratedCppSelfCheck2dHighOrder) {
   ProblemSize Problem;
   Problem.Extents = {25, 23};
   Problem.TimeSteps = 8;
-  std::string Source = generateCppCheckProgram(*P, Config, Problem);
+  std::string Source =
+      generateCppCheckProgram(*P, lowerSchedule(*P, Config), Problem);
   auto Result = compileAndRun(Source, "star2d3r");
   if (!Result.has_value())
     GTEST_SKIP() << "no host compiler available";
@@ -148,7 +150,8 @@ TEST(EndToEnd, GeneratedCppSelfCheck3d) {
   ProblemSize Problem;
   Problem.Extents = {15, 11, 13};
   Problem.TimeSteps = 5;
-  std::string Source = generateCppCheckProgram(*P, Config, Problem);
+  std::string Source =
+      generateCppCheckProgram(*P, lowerSchedule(*P, Config), Problem);
   auto Result = compileAndRun(Source, "star3d1r");
   if (!Result.has_value())
     GTEST_SKIP() << "no host compiler available";
@@ -164,7 +167,8 @@ TEST(EndToEnd, GeneratedCppSelfCheckBox3d) {
   ProblemSize Problem;
   Problem.Extents = {10, 9, 8};
   Problem.TimeSteps = 7;
-  std::string Source = generateCppCheckProgram(*P, Config, Problem);
+  std::string Source =
+      generateCppCheckProgram(*P, lowerSchedule(*P, Config), Problem);
   auto Result = compileAndRun(Source, "j3d27pt");
   if (!Result.has_value())
     GTEST_SKIP() << "no host compiler available";

@@ -73,9 +73,10 @@ TEST(GoldenCpp, J2d5ptCheckProgram) {
   ProblemSize Problem;
   Problem.Extents = {40, 37};
   Problem.TimeSteps = 11;
-  expectEqualWithContext(generateCppCheckProgram(*P, C, Problem),
-                         readGolden("an5d_j2d5pt_check.cpp.golden"),
-                         "j2d5pt check program");
+  expectEqualWithContext(
+      generateCppCheckProgram(*P, lowerSchedule(*P, C), Problem),
+      readGolden("an5d_j2d5pt_check.cpp.golden"),
+      "j2d5pt check program");
 }
 
 TEST(GoldenCpp, Star3d1rDoubleCheckProgram) {
@@ -87,9 +88,10 @@ TEST(GoldenCpp, Star3d1rDoubleCheckProgram) {
   ProblemSize Problem;
   Problem.Extents = {14, 12, 11};
   Problem.TimeSteps = 11;
-  expectEqualWithContext(generateCppCheckProgram(*P, C, Problem),
-                         readGolden("an5d_star3d1r_check.cpp.golden"),
-                         "star3d1r check program");
+  expectEqualWithContext(
+      generateCppCheckProgram(*P, lowerSchedule(*P, C), Problem),
+      readGolden("an5d_star3d1r_check.cpp.golden"),
+      "star3d1r check program");
 }
 
 TEST(GoldenCpp, Star1d1rCheckProgram) {
@@ -101,9 +103,10 @@ TEST(GoldenCpp, Star1d1rCheckProgram) {
   ProblemSize Problem;
   Problem.Extents = {95};
   Problem.TimeSteps = 11;
-  expectEqualWithContext(generateCppCheckProgram(*P, C, Problem),
-                         readGolden("an5d_star1d1r_check.cpp.golden"),
-                         "star1d1r check program");
+  expectEqualWithContext(
+      generateCppCheckProgram(*P, lowerSchedule(*P, C), Problem),
+      readGolden("an5d_star1d1r_check.cpp.golden"),
+      "star1d1r check program");
 }
 
 TEST(GoldenCpp, Star1d1rKernelLibrary) {
@@ -112,7 +115,7 @@ TEST(GoldenCpp, Star1d1rKernelLibrary) {
   C.BT = 2;
   C.BS.clear();
   C.HS = 128;
-  expectEqualWithContext(generateCppKernelLibrary(*P, C),
+  expectEqualWithContext(generateCppKernelLibrary(*P, lowerSchedule(*P, C)),
                          readGolden("an5d_star1d1r_omp.cpp.golden"),
                          "star1d1r kernel library");
 }
@@ -123,7 +126,7 @@ TEST(GoldenCpp, J2d5ptKernelLibrary) {
   C.BT = 2;
   C.BS = {128};
   C.HS = 128;
-  expectEqualWithContext(generateCppKernelLibrary(*P, C),
+  expectEqualWithContext(generateCppKernelLibrary(*P, lowerSchedule(*P, C)),
                          readGolden("an5d_j2d5pt_omp.cpp.golden"),
                          "j2d5pt kernel library");
 }
@@ -134,11 +137,11 @@ TEST(GoldenCpp, GenerationIsDeterministic) {
   C.BT = 2;
   C.BS = {16, 16};
   C.HS = 0;
-  EXPECT_EQ(generateCppKernelLibrary(*P, C),
-            generateCppKernelLibrary(*P, C));
+  EXPECT_EQ(generateCppKernelLibrary(*P, lowerSchedule(*P, C)),
+            generateCppKernelLibrary(*P, lowerSchedule(*P, C)));
   ProblemSize Problem;
   Problem.Extents = {10, 9, 8};
   Problem.TimeSteps = 7;
-  EXPECT_EQ(generateCppCheckProgram(*P, C, Problem),
-            generateCppCheckProgram(*P, C, Problem));
+  EXPECT_EQ(generateCppCheckProgram(*P, lowerSchedule(*P, C), Problem),
+            generateCppCheckProgram(*P, lowerSchedule(*P, C), Problem));
 }

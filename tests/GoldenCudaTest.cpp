@@ -68,7 +68,7 @@ TEST(GoldenCuda, J2d5ptKernel) {
   C.BT = 2;
   C.BS = {128};
   C.HS = 128;
-  GeneratedCuda Code = generateCuda(*P, C);
+  GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, C));
   expectEqualWithContext(Code.KernelSource,
                          readGolden("an5d_j2d5pt_bt2.cu.golden"),
                          "j2d5pt kernel");
@@ -80,7 +80,7 @@ TEST(GoldenCuda, J2d5ptHost) {
   C.BT = 2;
   C.BS = {128};
   C.HS = 128;
-  GeneratedCuda Code = generateCuda(*P, C);
+  GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, C));
   expectEqualWithContext(Code.HostSource,
                          readGolden("an5d_j2d5pt_bt2_host.cpp.golden"),
                          "j2d5pt host");
@@ -92,7 +92,7 @@ TEST(GoldenCuda, Star3d1rDoubleKernel) {
   C.BT = 3;
   C.BS = {32, 16};
   C.HS = 128;
-  GeneratedCuda Code = generateCuda(*P, C);
+  GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, C));
   expectEqualWithContext(Code.KernelSource,
                          readGolden("an5d_star3d1r_bt3.cu.golden"),
                          "star3d1r kernel");
@@ -120,7 +120,7 @@ TEST(GoldenCuda, Every1dBuiltinKernel) {
     C.BT = 2;
     C.BS.clear(); // 1D pure streaming: no blocked dimensions
     C.HS = 32;
-    GeneratedCuda Code = generateCuda(*P, C);
+    GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, C));
     expectEqualWithContext(Code.KernelSource,
                            readGolden(std::string("an5d_") + Case.Name +
                                       "_bt2.cu.golden"),
@@ -138,7 +138,7 @@ TEST(GoldenCuda, Star1d1rHost) {
   C.BT = 2;
   C.BS.clear();
   C.HS = 32;
-  GeneratedCuda Code = generateCuda(*P, C);
+  GeneratedCuda Code = generateCuda(*P, lowerSchedule(*P, C));
   expectEqualWithContext(Code.HostSource,
                          readGolden("an5d_star1d1r_bt2_host.cpp.golden"),
                          "star1d1r host");
@@ -150,8 +150,8 @@ TEST(GoldenCuda, GenerationIsDeterministic) {
   C.BT = 5;
   C.BS = {256};
   C.HS = 512;
-  GeneratedCuda A = generateCuda(*P, C);
-  GeneratedCuda B = generateCuda(*P, C);
+  GeneratedCuda A = generateCuda(*P, lowerSchedule(*P, C));
+  GeneratedCuda B = generateCuda(*P, lowerSchedule(*P, C));
   EXPECT_EQ(A.KernelSource, B.KernelSource);
   EXPECT_EQ(A.HostSource, B.HostSource);
 }

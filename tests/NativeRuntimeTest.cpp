@@ -327,6 +327,13 @@ std::vector<ProductionCase> productionCases() {
       // cw = 512 - 2*8*1 = 496.
       {"j2d5pt", ScalarType::Double, productionConfig(8, {512}, 7), "",
        {{9, 300}, {5, 1}, {6, 497}, {7, 1001}}, {5, 11}},
+      // The 2D host menu's 1024-lane blocks: one block spans a row of up to
+      // cw cells, and its ring rows shrink to the row and its halo (900 +
+      // 16 lanes at degree 8). A row of cw + 1 = 1009 cells runs a second,
+      // one-lane block on full-width rows.
+      // cw = 1024 - 2*8*1 = 1008.
+      {"j2d5pt", ScalarType::Float, productionConfig(8, {1024}, 5),
+       "host_block", {{9, 900}, {5, 1}, {6, 1009}, {11, 2100}}, {3, 11}},
       // Streamed extents of 1 and 3 planes, below the pool's thread count.
       // hS = 0 sets no maximum, so the stream splits into one chunk per
       // thread, one plane each, as it does at an hS past the extent.
@@ -455,7 +462,8 @@ TEST(NativeVectorization, EveryOmpSimdLoopVectorizes) {
     auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
     ASSERT_NE(Program, nullptr);
     const std::string Source =
-        generateCppKernelLibrary(*Program, testConfig(*Program));
+        generateCppKernelLibrary(
+            *Program, lowerSchedule(*Program, testConfig(*Program)));
     const std::string Dir = freshCacheDir(std::string("vec-") + Name);
     std::filesystem::create_directories(Dir);
     const std::string SourcePath = Dir + "/kernel.cpp";
@@ -529,7 +537,8 @@ TEST(NativeStreamSplit, ChunksTileTheStreamAxis) {
     auto Program = makeBenchmarkStencil(Name, ScalarType::Float);
     ASSERT_NE(Program, nullptr);
     const std::string Source =
-        generateCppKernelLibrary(*Program, testConfig(*Program)) +
+        generateCppKernelLibrary(
+            *Program, lowerSchedule(*Program, testConfig(*Program))) +
         "extern \"C\" long long an5d_test_chunks(long long ns, long long hs,\n"
         "                                        long long *bounds) {\n"
         "  const long long n = streamChunks(ns, hs);\n"
@@ -953,10 +962,9 @@ TEST(NativeCompiler, ResolvedTargetIgnoresMacroOrder) {
 TEST(KernelCache, HostTargetIsPartOfTheKey) {
   // Two compilers that differ only in the macros -march=native predefines
   // (as the same toolchain does on two hosts) must not share artifacts.
-  const std::string Source =
-      generateCppKernelLibrary(*makeBenchmarkStencil("j2d5pt",
-                                                     ScalarType::Float),
-                               productionConfig(3, {32}, 7));
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  const std::string Source = generateCppKernelLibrary(
+      *Program, lowerSchedule(*Program, productionConfig(3, {32}, 7)));
   std::vector<std::string> Keys, Identities;
   for (const char *Isa : {"AN5D_TEST_ISA_A", "AN5D_TEST_ISA_B"}) {
     const std::string Macro = std::string("#define ") + Isa + " 1";

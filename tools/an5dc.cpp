@@ -777,12 +777,14 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  // The analysis and every renderer below take this one lowering.
+  const ScheduleIR Lowered = lowerSchedule(*Program, Config);
+
   if (!Options.AnalyzePath.empty()) {
     // The dataflow pass pipeline over the lowered schedule, plus the
     // per-candidate resource estimate, as one machine-readable report.
     // Error-severity findings fail the invocation after the report is
     // written — the artifact is the point, reviewers read it either way.
-    ScheduleIR Lowered = lowerSchedule(*Program, Config);
     AnalysisInput PassInput;
     PassInput.Program = Program.get();
     PassInput.Schedule = &Lowered;
@@ -844,7 +846,7 @@ int main(int Argc, char **Argv) {
         Clean = false;
       }
     };
-    LintOne(generateCppKernelLibrary(*Program, Config),
+    LintOne(generateCppKernelLibrary(*Program, Lowered),
             LintTarget::KernelLibrary, "kernel library");
     ProblemSize CheckSize;
     CheckSize.Extents = Program->numDims() == 1
@@ -854,7 +856,9 @@ int main(int Argc, char **Argv) {
                             : std::vector<long long>{14, 12, 11};
     CheckSize.TimeSteps = 11;
     LintOne(generateCppCheckProgram(
-                *Program, verificationConfig(*Program, Config), CheckSize),
+                *Program,
+                lowerSchedule(*Program, verificationConfig(*Program, Config)),
+                CheckSize),
             LintTarget::CheckProgram, "check program");
     if (!Clean)
       return 1;
@@ -887,7 +891,7 @@ int main(int Argc, char **Argv) {
 
   if (!Options.EmitCudaDir.empty()) {
     std::filesystem::create_directories(Options.EmitCudaDir);
-    GeneratedCuda Cuda = generateCuda(*Program, Config, Options.Codegen);
+    GeneratedCuda Cuda = generateCuda(*Program, Lowered, Options.Codegen);
     std::string Base = Options.EmitCudaDir + "/" + Cuda.KernelName;
     std::ofstream(Base + ".cu") << Cuda.KernelSource;
     std::ofstream(Base + "_host.cpp") << Cuda.HostSource;
@@ -916,8 +920,8 @@ int main(int Argc, char **Argv) {
     CheckSize.TimeSteps = 11;
     std::string Path = Options.EmitCheckDir + "/" +
                        Program->name() + "_check.cpp";
-    std::ofstream(Path) << generateCppCheckProgram(*Program, Small,
-                                                   CheckSize);
+    std::ofstream(Path) << generateCppCheckProgram(
+        *Program, lowerSchedule(*Program, Small), CheckSize);
     std::printf("wrote %s\n", Path.c_str());
   }
 
@@ -925,7 +929,7 @@ int main(int Argc, char **Argv) {
     std::filesystem::create_directories(Options.EmitOmpDir);
     std::string Path =
         Options.EmitOmpDir + "/" + Program->name() + "_omp.cpp";
-    std::ofstream(Path) << generateCppKernelLibrary(*Program, Config);
+    std::ofstream(Path) << generateCppKernelLibrary(*Program, Lowered);
     std::printf("wrote %s (callable kernel library, an5d_run ABI)\n",
                 Path.c_str());
   }
