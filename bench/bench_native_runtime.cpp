@@ -140,7 +140,8 @@ template <typename T>
 void runNativeBench(benchmark::State &State, const Scenario &S, int Threads) {
   NativeRuntimeOptions Options;
   Options.Threads = Threads;
-  NativeExecutor Executor(*S.Program, S.Config, Options);
+  NativeExecutor Executor(*S.Program, lowerSchedule(*S.Program, S.Config),
+                          Options);
   if (!Executor.ok()) {
     State.SkipWithError(Executor.error().c_str());
     return;

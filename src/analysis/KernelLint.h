@@ -29,8 +29,9 @@
 /// The linter parses nothing: it strips comments and string literals
 /// (preserving line structure) and matches tokens, which is exactly as
 /// strong as the emitters' determinism allows and keeps it dependency-
-/// free. It runs over all goldens in the test suite and over every JIT
-/// candidate when NativeRuntimeOptions::LintKernels (an5dc --lint) is set.
+/// free. It runs over all goldens in the test suite, over every builtin's
+/// kernel library (the one source all JIT kernels of a stencil compile)
+/// and over the sources an5dc --lint renders.
 ///
 //===----------------------------------------------------------------------===//
 

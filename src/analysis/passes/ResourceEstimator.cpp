@@ -129,11 +129,6 @@ ResourceEstimate estimateResources(const StencilProgram &Program,
   return E;
 }
 
-ResourceEstimate estimateResources(const StencilProgram &Program,
-                                   const BlockConfig &Config) {
-  return estimateResources(Program, lowerSchedule(Program, Config));
-}
-
 ResourceEstimate estimateOccupancy(const StencilProgram &Program,
                                    const BlockConfig &Config) {
   ResourceEstimate E;

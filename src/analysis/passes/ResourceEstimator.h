@@ -80,11 +80,6 @@ struct ResourceEstimate {
 ResourceEstimate estimateResources(const StencilProgram &Program,
                                    const ScheduleIR &IR);
 
-/// Convenience overload lowering \p Config internally (model callers that
-/// have no ScheduleIR at hand).
-ResourceEstimate estimateResources(const StencilProgram &Program,
-                                   const BlockConfig &Config);
-
 /// The occupancy-relevant slice only — registers/thread, smem/block and
 /// the register-ring bytes — computed without lowering a schedule, so the
 /// performance model can consume estimator features inside its

@@ -74,11 +74,31 @@ static std::string emitRingRows(int Radius) {
   return Out;
 }
 
+/// READ(...) of evalCell. A 2D read renders through the one-row view the
+/// blocked invocation takes, as a 3D read with no row offset, so 2D and
+/// 3D share one reference.
+static std::string emitViewRead(const GridReadExpr &Read) {
+  const std::vector<int> &Off = Read.offsets();
+  if (Off.size() != 2)
+    return defaultReadMacro(Read);
+  return "READ(" + std::to_string(Off[0]) + ", 0, " + std::to_string(Off[1]) +
+         ")";
+}
+
+/// "a, b, c" for an array initializer.
+template <typename T>
+static std::string joinValues(const std::vector<T> &Values) {
+  std::string Out;
+  for (const T &Value : Values)
+    Out += (Out.empty() ? "" : ", ") + std::to_string(Value);
+  return Out;
+}
+
 /// Common prelude: includes, constants, indexing, helpers, evalCell,
 /// schedule. Every schedule constant is read off the lowered IR, never
-/// re-derived. A kernel library bakes in only the stencil, its element
-/// type and bS — bT and hS are an5d_run arguments — so the candidates of
-/// a tune that share a bS share one source and one compile; it keeps no
+/// re-derived. A kernel library bakes in only the stencil and its element
+/// type — extents, bT, bS and hS are an5d_run arguments — so every
+/// candidate of a tune shares one source and one compile; it keeps no
 /// file-scope state, and includes only the headers it uses (each standard
 /// header is parse time on every JIT compile).
 static std::string emitPrelude(const StencilProgram &Program,
@@ -96,7 +116,7 @@ static std::string emitPrelude(const StencilProgram &Program,
     Out += "// Generated by the AN5D reproduction framework: native OpenMP "
            "kernel library.\n"
            "// stencil " +
-           IR.StencilName + "; bT and hS are an5d_run arguments\n";
+           IR.StencilName + "; the schedule is an an5d_run argument\n";
   if (containsMathCall(Program.update()))
     Out += "#include <cmath>\n";
   Out += "#include <cstddef>\n";
@@ -116,29 +136,31 @@ static std::string emitPrelude(const StencilProgram &Program,
   if (Check)
     Out += "static const int BT = " + std::to_string(IR.Config.BT) + ";\n";
   if (NumDims >= 2) {
-    Out += "// The blocked axes: rows (axis 1) of BS1 with a halo of RAD1,\n"
-           "// and lanes (the last axis) of BS2. A 2D grid is one row.\n";
+    Out += "// The blocked axes: rows (axis 1) with a halo of RAD1, and lanes\n"
+           "// (the last axis). A 2D grid is one row.\n";
     Out += "static const int DIMS = " + std::to_string(NumDims) + ";\n";
-    Out += "static const int BS1 = " +
-           std::to_string(NumDims == 3 ? IR.Config.BS[0] : 1) + ";\n";
     Out += "static const int RAD1 = " +
            std::string(NumDims == 3 ? "RAD" : "0") + ";\n";
-    Out += "static const int BS2 = " + std::to_string(IR.Config.BS.back()) +
-           ";\n";
   }
 
   if (Check) {
     assert(Problem && "check programs bake the problem size in");
     Out += "static const long long HS = " + std::to_string(IR.Config.HS) +
            ";\n";
-    Out += "static const long long NS = " +
-           std::to_string(Problem->Extents[0]) + ";\n";
-    if (NumDims >= 2)
-      Out += "static const long long N1 = " +
-             std::to_string(Problem->Extents[1]) + ";\n";
-    if (NumDims == 3)
-      Out += "static const long long N2 = " +
-             std::to_string(Problem->Extents[2]) + ";\n";
+    if (NumDims == 1) {
+      Out += "static const long long NS = " +
+             std::to_string(Problem->Extents[0]) + ";\n";
+    } else {
+      Out += "// The grid (streaming axis first) and the block sizes as "
+             "an5d_run takes\n"
+             "// them, and the one-row view of the grid: NS planes of N1 "
+             "rows of N2 lanes.\n";
+      Out += "static const long long EXT[] = {" +
+             joinValues(Problem->Extents) + "};\n";
+      Out += "static const int BS[] = {" + joinValues(IR.Config.BS) + "};\n";
+      Out += "static const long long NS = EXT[0], N1 = DIMS == 3 ? EXT[1] : "
+             "1, N2 = EXT[DIMS - 1];\n";
+    }
     Out += "static const long long IT = " +
            std::to_string(Problem->TimeSteps) + ";\n";
   }
@@ -151,23 +173,16 @@ static std::string emitPrelude(const StencilProgram &Program,
            "  return (size_t)(i + RAD);\n"
            "}\n";
   if (Check) {
-    if (NumDims == 1) {
+    if (NumDims == 1)
       Out += "static const size_t TOTAL = (size_t)(NS + 2 * RAD);\n";
-    } else if (NumDims == 2) {
-      Out += "static inline size_t pidx(long long i, long long j) {\n"
-             "  return (size_t)((i + RAD) * (N1 + 2 * RAD) + (j + RAD));\n"
-             "}\n";
-      Out += "static const size_t TOTAL = (size_t)((NS + 2 * RAD) * (N1 + 2 "
-             "* RAD));\n";
-    } else {
+    else
       Out += "static inline size_t pidx(long long i, long long j, long long "
              "k) {\n"
-             "  return (size_t)(((i + RAD) * (N1 + 2 * RAD) + (j + RAD)) * "
+             "  return (size_t)(((i + RAD) * (N1 + 2 * RAD1) + (j + RAD1)) * "
              "(N2 + 2 * RAD) + (k + RAD));\n"
-             "}\n";
-      Out += "static const size_t TOTAL = (size_t)((NS + 2 * RAD) * (N1 + 2 "
-             "* RAD) * (N2 + 2 * RAD));\n";
-    }
+             "}\n"
+             "static const size_t TOTAL = (size_t)((NS + 2 * RAD) * (N1 + 2 "
+             "* RAD1) * (N2 + 2 * RAD));\n";
   }
   Out += "\n";
 
@@ -214,13 +229,12 @@ static std::string emitPrelude(const StencilProgram &Program,
   // 2D/3D kernel libraries inline the update into their compute loops;
   // the check program's reference and the 1D kernel evaluate it here.
   if (Check || NumDims == 1) {
-    Out += "// The stencil update; READ(ds" +
-           std::string(NumDims >= 2 ? ", d1" : "") +
-           std::string(NumDims == 3 ? ", d2" : "") +
+    Out += "// The stencil update; READ(" +
+           std::string(NumDims == 1 ? "ds" : "ds, d1, d2") +
            ") supplies the previous time-step.\n";
     Out += "template <typename ReadFn>\n"
            "static inline Real evalCell(const ReadFn &READ) {\n";
-    Out += "  return " + emitUpdateExpr(Program, Mode, defaultReadMacro) +
+    Out += "  return " + emitUpdateExpr(Program, Mode, emitViewRead) +
            ";\n}\n\n";
   }
 
@@ -259,6 +273,7 @@ static std::string emitPrelude(const StencilProgram &Program,
   return Out;
 }
 
+/// The naive reference step; 2D and 3D share the one-row view.
 static std::string emitReference(int NumDims) {
   if (NumDims == 1)
     return "static void referenceStep(const Real *in, Real *out) {\n"
@@ -266,14 +281,6 @@ static std::string emitReference(int NumDims) {
            "    out[pidx(i)] = evalCell([&](int ds) {\n"
            "      return in[pidx(i + ds)];\n"
            "    });\n"
-           "}\n\n";
-  if (NumDims == 2)
-    return "static void referenceStep(const Real *in, Real *out) {\n"
-           "  for (long long i = 0; i < NS; ++i)\n"
-           "    for (long long j = 0; j < N1; ++j)\n"
-           "      out[pidx(i, j)] = evalCell([&](int ds, int d1) {\n"
-           "        return in[pidx(i + ds, j + d1)];\n"
-           "      });\n"
            "}\n\n";
   return "static void referenceStep(const Real *in, Real *out) {\n"
          "  for (long long i = 0; i < NS; ++i)\n"
@@ -369,27 +376,29 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 /// axes, so the compute loops run per blocked row over the contiguous lane
 /// axis; a ring row is W2 lanes long, BS2 clipped to the lanes a block of
 /// the run can touch. A 2D stencil is the 3D kernel with one row per
-/// block: its prelude gives the row axis BS1 = 1 and no halo (RAD1 = 0)
-/// and its grid one row, so the row loop runs once and no halo row is
-/// pinned. Shared verbatim between the check program and the kernel
-/// library; the OpenMP pragmas are inert without -fopenmp. \p Rows
-/// declares the producer's ring rows and \p Update is the inline update
-/// expression over them.
+/// block: the invocation views its grid as one row and its blocks as one
+/// row tall (BS1 = 1) with no row halo (RAD1 = 0), so the row loop runs
+/// once and no halo row is pinned. Shared verbatim between the check
+/// program and the kernel library; the OpenMP pragmas are inert without
+/// -fopenmp. \p Rows declares the producer's ring rows and \p Update is
+/// the inline update expression over them.
 static std::string emitBlockedRows(const std::string &Rows,
                                    const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
-// over the grid `ext` with stream chunks of at most `hs` planes. Every
-// (chunk, block) triple reads only `in` plus its own rings and writes a
-// disjoint region of `out`, so the triple loop is an OpenMP worksharing
-// loop when compiled with -fopenmp (rings are per-thread); it hands the
-// triples out dynamically, so a thread that finishes a short one takes the
-// next. Each tier of an interior sub-plane computes one branch-free lane
-// range per blocked row as an `omp simd` loop and pins the grid-halo rows
-// and lanes around it to the input. Nothing else is written: a tier reads
-// only its producer's valid region (AN5D-A212), so no value is carried
-// across the halo and no lane past the grid halo is ever read.
-static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs) {
+// over the grid `ext` in blocks of `bs` lanes per blocked axis, with
+// stream chunks of at most `hs` planes. Every (chunk, block) triple reads
+// only `in` plus its own rings and writes a disjoint region of `out`, so
+// the triple loop is an OpenMP worksharing loop when compiled with
+// -fopenmp (rings are per-thread); it hands the triples out dynamically,
+// so a thread that finishes a short one takes the next. Each tier of an
+// interior sub-plane computes one branch-free lane range per blocked row
+// as an `omp simd` loop and pins the grid-halo rows and lanes around it
+// to the input. Nothing else is written: a tier reads only its producer's
+// valid region (AN5D-A212), so no value is carried across the halo and no
+// lane past the grid halo is ever read.
+static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs, const int *bs) {
   const long long ns = ext[0], n1 = DIMS == 3 ? ext[1] : 1, n2 = ext[DIMS - 1];
+  const int BS1 = DIMS == 3 ? bs[0] : 1, BS2 = bs[DIMS - 2];
   // Offset of cell (i, j, k) in the padded row-major grid.
   auto idx = [n1, n2](long long i, long long j, long long k) {
     return (size_t)(((i + RAD) * (n1 + 2 * RAD1) + (j + RAD1)) * (n2 + 2 * RAD) + (k + RAD));
@@ -515,10 +524,10 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 )cpp";
 }
 
+/// The check's main. 1D passes its one extent; 2D and 3D pass the
+/// prelude's EXT and BS, laid out as an5d_run takes them.
 static std::string emitMain(int NumDims) {
-  std::string Extents = NumDims == 1   ? "NS"
-                        : NumDims == 2 ? "NS, N1"
-                                       : "NS, N1, N2";
+  const bool OneD = NumDims == 1;
   return R"cpp(int main() {
   std::vector<Real> refBuf[2] = {std::vector<Real>(TOTAL), std::vector<Real>(TOTAL)};
   fillDeterministic(refBuf[0], 42);
@@ -529,12 +538,12 @@ static std::string emitMain(int NumDims) {
     referenceStep(refBuf[t % 2].data(), refBuf[(t + 1) % 2].data());
 
   static int deg[1 << 16];
-  const long long ext[] = {)cpp" +
-         Extents + R"cpp(};
-  const int calls = schedule(IT, BT, deg);
+)cpp" + std::string(OneD ? "  const long long ext[] = {NS};\n" : "") +
+         R"cpp(  const int calls = schedule(IT, BT, deg);
   int in = 0;
   for (int c = 0; c < calls; ++c) {
-    runInvocation(blkBuf[in].data(), blkBuf[in ^ 1].data(), ext, deg[c], HS);
+    runInvocation(blkBuf[in].data(), blkBuf[in ^ 1].data(), )cpp" +
+         (OneD ? "ext, deg[c], HS" : "EXT, deg[c], HS, BS") + R"cpp();
     in ^= 1;
   }
   if (in != (int)(IT % 2)) {
@@ -560,8 +569,8 @@ static std::string emitMain(int NumDims) {
 }
 
 /// The extern "C" surface of a kernel library; see runtime/NativeExecutor.h
-/// for the loader-side contract. Only the stencil and bS are baked in, so
-/// the run-time bT is checked against the block size here.
+/// for the loader-side contract. Only the stencil is baked in, so the
+/// run-time bT is checked against the run-time block sizes here.
 static std::string emitKernelApi(const StencilProgram &Program) {
   int NumDims = Program.numDims();
   std::string Out;
@@ -591,35 +600,41 @@ static std::string emitKernelApi(const StencilProgram &Program) {
   Out += "// Runs `it` time-steps of the blocked N.5D schedule in temporal\n";
   if (NumDims == 1)
     Out += "// blocks of `bt` steps and stream chunks of `hs` planes (0: one\n"
-           "// chunk). ";
+           "// chunk); a 1D grid has no blocked axis, so `bs` is ignored.\n";
   else
-    Out += "// blocks of `bt` steps and stream chunks of at most `hs` planes (0: no\n"
+    Out += "// blocks of `bt` steps, spatial blocks of `bs` lanes per blocked\n"
+           "// axis (axis 1 first) and stream chunks of at most `hs` planes (0: no\n"
            "// maximum), at least one per kernel thread while the streamed extent\n"
-           "// allows. ";
-  Out += "buf0 holds the input at t=0; both buffers use the padded\n"
-         "// row-major layout with a halo of RAD cells per side of every\n"
-         "// dimension in `extents` (streaming dimension first). The result\n"
-         "// of step `it` ends in buf{it % 2}, exactly as the double-buffered\n"
-         "// input loop would leave it. The buffers must be distinct\n"
-         "// (runInvocation declares them __restrict__). The library keeps\n"
-         "// no state between calls, so concurrent calls are safe. Returns 0\n"
-         "// on success and non-zero, before touching either buffer, on bad\n"
-         "// arguments, including a bt the baked bS cannot hold.\n";
+           "// allows.\n";
+  Out += "// buf0 holds the input at t=0; both buffers use the padded row-major\n"
+         "// layout with a halo of RAD cells per side of every dimension in\n"
+         "// `extents` (streaming dimension first). The result of step `it` ends\n"
+         "// in buf{it % 2}, exactly as the double-buffered input loop would leave\n"
+         "// it. The buffers must be distinct (runInvocation declares them\n"
+         "// __restrict__). The library keeps no state between calls, so\n"
+         "// concurrent calls are safe. Returns 0 on success and non-zero, before\n"
+         "// touching either buffer, on bad arguments";
+  Out += NumDims == 1 ? ".\n"
+                      : ", including a null `bs` and a bt\n"
+                        "// that `bs` cannot hold.\n";
   Out += "int an5d_run(void *buf0, void *buf1, const long long *extents,\n"
-         "             long long it, int bt, long long hs) {\n"
+         "             long long it, int bt, long long hs, const int *bs) {\n"
          "  if (!buf0 || !buf1 || buf0 == buf1 || !extents || it < 0)\n"
          "    return 1;\n"
          "  if (bt < 1 || hs < 0)\n"
          "    return 1;\n";
-  if (NumDims >= 2)
-    Out += "  if (BS1 - 2LL * bt * RAD1 < 1 || BS2 - 2LL * bt * RAD < 1)\n"
+  if (NumDims == 1)
+    Out += "  (void)bs;\n"
+           "  if (extents[0] < 1)\n"
            "    return 1;\n";
-  Out += "  if (extents[0] < 1";
-  if (NumDims >= 2)
-    Out += " || extents[1] < 1";
-  if (NumDims == 3)
-    Out += " || extents[2] < 1";
-  Out += ")\n    return 1;\n";
+  else
+    Out += "  // Every blocked axis keeps a compute width bs - 2*bt*RAD of at "
+           "least one.\n"
+           "  if (!bs || bs[0] - 2LL * bt * RAD < 1 || bs[DIMS - 2] - 2LL * bt "
+           "* RAD < 1)\n"
+           "    return 1;\n"
+           "  if (extents[0] < 1 || extents[1] < 1 || extents[DIMS - 1] < 1)\n"
+           "    return 1;\n";
   Out += "  if (it == 0)\n"
          "    return 0;\n"
          "  Real *bufs[2] = {(Real *)buf0, (Real *)buf1};\n"
@@ -627,7 +642,9 @@ static std::string emitKernelApi(const StencilProgram &Program) {
          "  const int calls = schedule(it, bt, deg);\n"
          "  int in = 0;\n"
          "  for (int c = 0; c < calls; ++c) {\n"
-         "    runInvocation(bufs[in], bufs[in ^ 1], extents, deg[c], hs);\n"
+         "    runInvocation(bufs[in], bufs[in ^ 1], extents, deg[c], hs" +
+         std::string(NumDims == 1 ? "" : ", bs") +
+         ");\n"
          "    in ^= 1;\n"
          "  }\n"
          "  delete[] deg;\n"

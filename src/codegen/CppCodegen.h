@@ -23,12 +23,12 @@
 ///
 ///  * **Kernel library** (generateCppKernelLibrary): a shared-library
 ///    translation unit exporting the `extern "C"` entry point
-///    `an5d_run(buf0, buf1, extents, timeSteps, bt, hs)` plus metadata
+///    `an5d_run(buf0, buf1, extents, timeSteps, bt, hs, bs)` plus metadata
 ///    query symbols (see runtime/NativeExecutor.h for the ABI contract).
-///    Only the stencil, its element type and bS are baked in; extents,
-///    step count, bT and hS are run-time arguments, so every configuration
-///    of a tune that shares a bS renders the same source and compiles
-///    once. The library keeps no file-scope state (calls are reentrant)
+///    Only the stencil and its element type are baked in; extents, step
+///    count, bT, hS and bS are run-time arguments, so every configuration
+///    of a stencil renders the same source and compiles once. The library
+///    keeps no file-scope state (calls are reentrant)
 ///    and includes only <cstddef>, <cstring> and <omp.h>, plus <cmath>
 ///    when the update calls a math function. The (chunk x block) item
 ///    loop is an OpenMP worksharing loop when compiled with -fopenmp.
@@ -66,14 +66,14 @@ std::string generateCppCheckProgram(const StencilProgram &Program,
 
 /// Renders the callable OpenMP kernel library from a lowered schedule:
 /// the translation unit the native runtime compiles into a shared
-/// object. It depends on the schedule's stencil and bS only: extents,
-/// time-steps, bT and hS are parameters of the exported `an5d_run`.
+/// object. It depends on the schedule's stencil only: extents,
+/// time-steps, bT, hS and bS are parameters of the exported `an5d_run`.
 std::string generateCppKernelLibrary(const StencilProgram &Program,
                                      const ScheduleIR &Schedule);
 
 /// The current `an5d_*` ABI version emitted into kernel libraries and
 /// checked by the loader before calling into one.
-constexpr int CppKernelAbiVersion = 2;
+constexpr int CppKernelAbiVersion = 3;
 
 } // namespace an5d
 

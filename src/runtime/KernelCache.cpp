@@ -93,7 +93,7 @@ KernelArtifact KernelCache::getOrBuild(
   // Serialize same-key builds within this process: the exists-check runs
   // under the key's lock, so a worker that waited out a sibling's build
   // sees the finished artifact and records a hit instead of re-compiling
-  // the identical source (configurations sharing a bS).
+  // the identical source (every configuration of a stencil).
   std::shared_ptr<std::mutex> KeyMutex;
   {
     std::lock_guard<std::mutex> Lock(Mutex);

@@ -7,10 +7,10 @@
 /// \file
 /// A persistent on-disk cache of compiled kernel shared objects, keyed by
 /// an FNV-1a hash of (generated source, compiler fingerprint) — so a
-/// change to the stencil, its bS, the code generator, the compiler binary
-/// or the flag set each lands on a fresh key, configurations differing
-/// only in bT or hS (run-time kernel arguments) share one, and repeat
-/// tunes of the same point are compile-free.
+/// change to the stencil, the code generator, the compiler binary or the
+/// flag set each lands on a fresh key, every configuration of a stencil
+/// (bT, hS and bS are run-time kernel arguments) shares one, and repeat
+/// tunes are compile-free.
 ///
 /// Layout under the cache directory:
 ///   an5d_<key>.cpp   the generated translation unit (kept for debugging)

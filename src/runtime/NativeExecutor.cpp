@@ -6,7 +6,6 @@
 
 #include "runtime/NativeExecutor.h"
 
-#include "analysis/KernelLint.h"
 #include "codegen/CppCodegen.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -18,18 +17,11 @@
 namespace an5d {
 
 NativeExecutor::NativeExecutor(const StencilProgram &Program,
-                               const BlockConfig &Config,
-                               const NativeRuntimeOptions &Options,
-                               KernelCache *SharedCache)
-    : NativeExecutor(Program, lowerSchedule(Program, Config), Options,
-                     SharedCache) {}
-
-NativeExecutor::NativeExecutor(const StencilProgram &Program,
                                const ScheduleIR &Schedule,
                                const NativeRuntimeOptions &Options,
                                KernelCache *SharedCache)
     : Threads(Options.Threads), BlockTime(Schedule.Config.BT),
-      StreamChunk(Schedule.Config.HS) {
+      StreamChunk(Schedule.Config.HS), BlockSizes(Schedule.Config.BS) {
   const BlockConfig &Config = Schedule.Config;
   if (Program.numDims() < 1 || Program.numDims() > 3) {
     Error = "the native runtime supports 1D, 2D and 3D stencils (got " +
@@ -54,17 +46,8 @@ NativeExecutor::NativeExecutor(const StencilProgram &Program,
     Cache = OwnedCache.get();
   }
 
-  std::string Source = generateCppKernelLibrary(Program, Schedule);
-  if (Options.LintKernels) {
-    LintReport Report = lintTranslationUnit(Source, LintTarget::KernelLibrary,
-                                            Program.elemType());
-    if (!Report.clean()) {
-      Error = "kernel lint failed for " + Config.toString() + ":\n" +
-              Report.toString();
-      return;
-    }
-  }
-  Artifact = Cache->getOrBuild(Source, Compiler, Options.ExtraCompileFlags,
+  Artifact = Cache->getOrBuild(generateCppKernelLibrary(Program, Schedule),
+                               Compiler, Options.ExtraCompileFlags,
                                Options.ForceRecompile);
   if (!Artifact.Ok) {
     Error = "kernel build failed:\n" + Artifact.Log;
@@ -133,7 +116,8 @@ int NativeExecutor::runRaw(void *Buf0, void *Buf1, const long long *Extents,
   // did before the observability layer existed.
   if (obs::TraceRecorder::enabled())
     return runTraced(Buf0, Buf1, Extents, TimeSteps);
-  return Run(Buf0, Buf1, Extents, TimeSteps, BlockTime, StreamChunk);
+  return Run(Buf0, Buf1, Extents, TimeSteps, BlockTime, StreamChunk,
+             BlockSizes.data());
 }
 
 int NativeExecutor::runTraced(void *Buf0, void *Buf1,
@@ -146,7 +130,8 @@ int NativeExecutor::runTraced(void *Buf0, void *Buf1,
   }
   obs::count("native.runs");
   if (BlockTime <= 0 || TimeSteps <= BlockTime)
-    return Run(Buf0, Buf1, Extents, TimeSteps, BlockTime, StreamChunk);
+    return Run(Buf0, Buf1, Extents, TimeSteps, BlockTime, StreamChunk,
+               BlockSizes.data());
 
   // Per-temporal-block progress: invoke the kernel one bT-sized tile at a
   // time. Each invocation follows the ABI's double-buffer contract — S
@@ -165,7 +150,7 @@ int NativeExecutor::runTraced(void *Buf0, void *Buf1,
       BlockSpan.attr("steps", std::to_string(Steps));
     }
     int Rc = Run(Bufs[Current], Bufs[1 - Current], Extents, Steps, BlockTime,
-                 StreamChunk);
+                 StreamChunk, BlockSizes.data());
     if (Rc != 0)
       return Rc;
     Current ^= static_cast<int>(Steps & 1);

@@ -16,7 +16,7 @@
 /// and exact-float literals; the equivalence suite in
 /// tests/NativeRuntimeTest.cpp pins this on every built-in benchmark).
 ///
-/// ## Kernel ABI (CppKernelAbiVersion = 2)
+/// ## Kernel ABI (CppKernelAbiVersion = 3)
 ///
 ///   int an5d_abi_version(void);
 ///   const char *an5d_stencil_name(void);  // e.g. "j2d5pt"
@@ -26,19 +26,22 @@
 ///   int an5d_max_threads(void);           // OpenMP pool size (1 if serial)
 ///   void an5d_set_threads(int n);         // n <= 0 keeps the default
 ///   int an5d_run(void *buf0, void *buf1, const long long *extents,
-///                long long timeSteps, int bt, long long hs);
+///                long long timeSteps, int bt, long long hs,
+///                const int *bs);
 ///
-/// A library bakes in the stencil, its element type and bS, nothing else:
-/// extents, step count, the temporal block bT and the stream chunk hS
-/// are arguments of every an5d_run call, so all
-/// configurations of a tune that share a bS load one compiled kernel.
+/// A library bakes in the stencil and its element type, nothing else:
+/// extents, step count, the temporal block bT, the stream chunk hS and
+/// the block sizes bS are arguments of every an5d_run call, so every
+/// configuration of a stencil loads one compiled kernel. `bs` holds the
+/// numDims - 1 block sizes of the blocked axes (axis 1 first); a 1D
+/// kernel has no blocked axis and ignores it, so it may be null there.
 /// an5d_run returns 0 on success and non-zero, before touching either
 /// buffer, on bad arguments: null or identical buffers (the blocked
 /// invocation restrict-qualifies them), a negative step count, an extent
-/// below 1, bt < 1, hs < 0, or a bt the baked bS cannot hold
-/// (bS - 2*bt*radius < 1 on some blocked axis). The library keeps no
-/// file-scope state, so concurrent calls — into one loaded kernel or
-/// several — are safe.
+/// below 1, bt < 1, hs < 0, a null `bs` in 2D or 3D, or a bt that `bs`
+/// cannot hold (bS - 2*bt*radius < 1 on some blocked axis). The library
+/// keeps no file-scope state, so concurrent calls — into one loaded
+/// kernel or several — are safe.
 ///
 /// hS bounds the stream chunks a call runs. The 1D kernel cuts chunks of
 /// hS planes (0: one chunk). The 2D/3D kernels split the streamed axis
@@ -57,7 +60,6 @@
 #define AN5D_RUNTIME_NATIVEEXECUTOR_H
 
 #include "ir/StencilProgram.h"
-#include "model/BlockConfig.h"
 #include "runtime/DynamicKernel.h"
 #include "schedule/ScheduleIR.h"
 #include "runtime/KernelCache.h"
@@ -69,6 +71,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace an5d {
 
@@ -91,22 +94,16 @@ struct NativeRuntimeOptions {
 
   /// Rebuild even if the cache already holds the kernel.
   bool ForceRecompile = false;
-
-  /// Lint the generated translation unit (analysis/KernelLint.h) before
-  /// compiling and fail the executor on any finding — a debug gate for
-  /// codegen changes; an5dc --lint sets it per run.
-  bool LintKernels = false;
 };
 
 /// A loaded native kernel for one (stencil, configuration) pair.
 ///
 /// Construction compiles (or fetches) and loads the kernel for the
-/// stencil and bS; check ok() before running. Every run passes the
-/// schedule's bT and hS to `an5d_run`, so executors whose configurations
-/// differ only in bT or hS share one cache entry (cacheKey()). The
-/// executor is usable from any thread, and concurrent runs — of one
-/// executor or of several sharing a kernel — proceed in parallel: the
-/// kernel keeps no state between calls.
+/// stencil; check ok() before running. Every run passes the schedule's
+/// bT, hS and bS to `an5d_run`, so every executor of a stencil shares one
+/// cache entry (cacheKey()). The executor is usable from any thread, and
+/// concurrent runs — of one executor or of several sharing a kernel —
+/// proceed in parallel: the kernel keeps no state between calls.
 class NativeExecutor {
 public:
   /// Builds the kernel from an already lowered schedule (the tuner's
@@ -115,12 +112,6 @@ public:
   /// share one cache and its statistics; when null a private cache over
   /// Options.CacheDir is created.
   NativeExecutor(const StencilProgram &Program, const ScheduleIR &Schedule,
-                 const NativeRuntimeOptions &Options = {},
-                 KernelCache *SharedCache = nullptr);
-
-  /// Convenience wrapper: lowers \p Config with lowerSchedule and builds
-  /// from the resulting IR.
-  NativeExecutor(const StencilProgram &Program, const BlockConfig &Config,
                  const NativeRuntimeOptions &Options = {},
                  KernelCache *SharedCache = nullptr);
 
@@ -201,9 +192,10 @@ private:
   int Threads = 0;
   int BlockTime = 0;
   long long StreamChunk = 0; ///< hS of the schedule: the longest chunk.
+  std::vector<int> BlockSizes; ///< bS of the schedule (empty in 1D).
 
   using RunFn = int(void *, void *, const long long *, long long, int,
-                    long long);
+                    long long, const int *);
   using IntFn = int();
   using SetThreadsFn = void(int);
   RunFn *Run = nullptr;

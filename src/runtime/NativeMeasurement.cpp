@@ -17,7 +17,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 
 namespace an5d {
@@ -154,43 +153,31 @@ nativeMeasuredSweep(const StencilProgram &Program,
   // Each candidate maps to the slot of the first candidate with its
   // configuration.
   std::vector<std::size_t> KernelSlot(Candidates.size());
+  std::vector<std::size_t> Slots;
   {
     std::map<std::string, std::size_t> SlotByConfig;
-    for (std::size_t I = 0; I < Candidates.size(); ++I)
+    for (std::size_t I = 0; I < Candidates.size(); ++I) {
       KernelSlot[I] =
           SlotByConfig.try_emplace(Candidates[I].Config.toString(), I)
               .first->second;
-  }
-
-  // Build order. A kernel library depends on the stencil and bS only (bT
-  // and hS are run-time arguments), so configurations sharing a bS share
-  // one compile and the rest of them are cache hits. The first slot of
-  // each bS goes first: the workers then claim every distinct compile
-  // before any hit, instead of one worker blocking on a key's build lock
-  // while another bS waits in the queue behind it.
-  std::vector<std::size_t> BuildOrder;
-  {
-    std::vector<std::size_t> Hits;
-    std::set<std::vector<int>> Shapes;
-    for (std::size_t I = 0; I < Candidates.size(); ++I)
       if (KernelSlot[I] == I)
-        (Shapes.insert(Candidates[I].Config.BS).second ? BuildOrder : Hits)
-            .push_back(I);
-    BuildOrder.insert(BuildOrder.end(), Hits.begin(), Hits.end());
+        Slots.push_back(I);
+    }
   }
 
   // Stage 1: build every slot's executor across the pool. Executors land
-  // in their own pre-allocated slot, so the stage is race-free; the
-  // shared cache deduplicates identical sources behind its per-key lock.
+  // in their own pre-allocated slot, so the stage is race-free. A kernel
+  // library depends on the stencil only, so the first slot compiles and
+  // the shared cache serves the rest from behind its per-key lock.
   std::vector<std::unique_ptr<NativeExecutor>> Executors(Candidates.size());
   std::atomic<std::size_t> NextItem{0};
   auto Worker = [&]() {
     for (std::size_t Next;
          (Next = NextItem.fetch_add(1, std::memory_order_relaxed)) <
-         BuildOrder.size();) {
+         Slots.size();) {
       obs::gaugeSet("sweep.queue_depth",
-                    static_cast<long long>(BuildOrder.size() - Next - 1));
-      const std::size_t Item = BuildOrder[Next];
+                    static_cast<long long>(Slots.size() - Next - 1));
+      const std::size_t Item = Slots[Next];
       obs::TraceSpan Span("sweep.compile");
       if (Span.active())
         Span.attr("config", Candidates[Item].Config.toString());
@@ -200,7 +187,7 @@ nativeMeasuredSweep(const StencilProgram &Program,
   };
   int NumWorkers = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(resolveSweepThreads(Options.CompileThreads)),
-      BuildOrder.size()));
+      Slots.size()));
   if (NumWorkers <= 1) {
     Worker();
   } else {

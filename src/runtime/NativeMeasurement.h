@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The Native measurement backend of the tuning flow: instead of the
-/// calibrated MeasuredSimulator, each sweep candidate is compiled into a
-/// real OpenMP kernel (runtime/NativeExecutor.h) and timed on the host
-/// CPU. Compilation fans out across a thread pool — kernel builds are
-/// independent compiler processes — while the timed runs execute strictly
-/// serially, one kernel at a time with the machine to itself, so
+/// calibrated MeasuredSimulator, each sweep candidate runs through a real
+/// compiled OpenMP kernel (runtime/NativeExecutor.h; one kernel serves
+/// every configuration of a stencil) and is timed on the host CPU.
+/// Executors are built across a thread pool, while the timed runs execute
+/// strictly serially, one kernel at a time with the machine to itself, so
 /// measurements are not polluted by sibling candidates.
 ///
 /// The sweep runs no static check of its own: the tuner has already
@@ -106,12 +106,12 @@ timeNativeKernel<double>(const NativeExecutor &, const ProblemSize &, int,
 
 /// Runs every candidate through a compiled kernel: each candidate is
 /// lowered to its ScheduleIR exactly once (or reuses the IR the tuner
-/// handed down in SweepCandidate::Schedule), compilation fans out across
+/// handed down in SweepCandidate::Schedule), executors are built across
 /// \p Options.CompileThreads workers (candidates sharing a configuration
 /// — the same config timed against several problem sizes — share one
-/// executor and its warmup; configurations sharing a bS share one
-/// compiled kernel, and one configuration of every bS builds before any
-/// cache hit, so distinct kernels compile side by side), timing runs
+/// executor and its warmup; every configuration of the stencil shares one
+/// compiled kernel, so a cold sweep compiles once and hits the cache for
+/// the rest), timing runs
 /// serially in candidate order. Results are indexed exactly like
 /// \p Candidates;
 /// infeasible or failed-to-build candidates come back with

@@ -255,6 +255,26 @@ double quantizedModelScore(double Score) {
   return static_cast<double>(static_cast<float>(Score));
 }
 
+/// Sorts \p Ranked best first by \p Cost (lower is better), compared
+/// through quantizedModelScore. Ties break on smaller bT, then smaller
+/// block, then the remaining fields — a total order over distinct
+/// configurations, so equal scores cannot reorder between compilers or
+/// std::sort implementations. Both rankings sort through it.
+template <typename CostFn>
+static void sortByCost(std::vector<RankedConfig> &Ranked, CostFn Cost) {
+  std::sort(Ranked.begin(), Ranked.end(),
+            [&Cost](const RankedConfig &A, const RankedConfig &B) {
+              double QA = quantizedModelScore(Cost(A));
+              double QB = quantizedModelScore(Cost(B));
+              if (QA != QB)
+                return QA < QB;
+              return std::make_tuple(A.Config.BT, A.Config.numThreads(),
+                                     A.Config.BS, A.Config.HS) <
+                     std::make_tuple(B.Config.BT, B.Config.numThreads(),
+                                     B.Config.BS, B.Config.HS);
+            });
+}
+
 bool Tuner::passesStaticPruning(const StencilProgram &Program,
                                 const BlockConfig &Config) const {
   return Config.isFeasible(Program.radius(), Spec.MaxThreadsPerBlock) &&
@@ -273,24 +293,9 @@ std::vector<RankedConfig> Tuner::rankByModel(const StencilProgram &Program,
       continue;
     Ranked.push_back({Config, std::move(Model)});
   }
-  std::sort(Ranked.begin(), Ranked.end(),
-            [](const RankedConfig &A, const RankedConfig &B) {
-              double QA = quantizedModelScore(A.Model.Gflops);
-              double QB = quantizedModelScore(B.Model.Gflops);
-              if (QA != QB)
-                return QA > QB;
-              // Deterministic tie-break: smaller bT, then smaller block,
-              // then the remaining fields — a total order over distinct
-              // configurations, so equal scores cannot reorder between
-              // compilers or std::sort implementations.
-              if (A.Config.BT != B.Config.BT)
-                return A.Config.BT < B.Config.BT;
-              if (A.Config.numThreads() != B.Config.numThreads())
-                return A.Config.numThreads() < B.Config.numThreads();
-              if (A.Config.BS != B.Config.BS)
-                return A.Config.BS < B.Config.BS;
-              return A.Config.HS < B.Config.HS;
-            });
+  // Higher modeled GFLOP/s first.
+  sortByCost(Ranked,
+             [](const RankedConfig &C) { return -C.Model.Gflops; });
   if (Ranked.size() > TopK)
     Ranked.resize(TopK);
   return Ranked;
@@ -323,24 +328,9 @@ std::vector<RankedConfig> Tuner::rankByHostCost(const StencilProgram &Program,
     Entry.HostCost = hostCost(Program, Config, Problem, Threads);
     Ranked.push_back(std::move(Entry));
   }
-  std::sort(Ranked.begin(), Ranked.end(),
-            [](const RankedConfig &A, const RankedConfig &B) {
-              double QA = quantizedModelScore(A.HostCost);
-              double QB = quantizedModelScore(B.HostCost);
-              if (QA != QB)
-                return QA < QB;
-              // Ties (bT past the step count: over 8 steps bT 4 and 8
-              // both run two degree-4 blocks) break on bS first, so the
-              // top-K spans as few kernels as it can — each distinct bS
-              // is one compile — then bT, then hS.
-              if (A.Config.numThreads() != B.Config.numThreads())
-                return A.Config.numThreads() < B.Config.numThreads();
-              if (A.Config.BS != B.Config.BS)
-                return A.Config.BS < B.Config.BS;
-              if (A.Config.BT != B.Config.BT)
-                return A.Config.BT < B.Config.BT;
-              return A.Config.HS < B.Config.HS;
-            });
+  // Ties remain where bT past the step count runs the same blocks: over
+  // 8 steps bT 4 and 8 both run two degree-4 blocks.
+  sortByCost(Ranked, [](const RankedConfig &C) { return C.HostCost; });
   if (Ranked.size() > TopK)
     Ranked.resize(TopK);
   return Ranked;

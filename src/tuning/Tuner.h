@@ -119,7 +119,7 @@ struct TuneOptions {
   /// homogeneous (the model slightly favors wide blocks whose measured
   /// occupancy disappoints). Native tunes take the top K of the host
   /// ranking instead; an5dc narrows their default to 8, since every
-  /// distinct bS among them costs a compile on a cold cache.
+  /// candidate is a timed kernel run.
   std::size_t TopK = 16;
 
   /// Register caps tried per candidate (0 = uncapped), Section 6.3.
@@ -156,8 +156,9 @@ public:
   /// Stage 1: evaluates the model over the pruned grid and returns the
   /// best \p TopK candidates in descending model performance. Scores
   /// compare through quantizedModelScore with a total order over the
-  /// configuration fields as tie-break, so the ranking is deterministic
-  /// across compilers and FP flags.
+  /// configuration fields as tie-break (smaller bT, then smaller block,
+  /// then bS, then hS), so the ranking is deterministic across compilers
+  /// and FP flags.
   std::vector<RankedConfig> rankByModel(const StencilProgram &Program,
                                         const ProblemSize &Problem,
                                         std::size_t TopK) const;
@@ -167,9 +168,8 @@ public:
   /// \p Threads kernel threads and returns the best \p TopK in
   /// ascending cost. Candidates that run the same on \p Problem appear
   /// once, with the narrowest bS. Costs compare through
-  /// quantizedModelScore; ties break on bS first (so a tie keeps the
-  /// top-K on fewer compiles), then bT, then hS. Independent of the GPU
-  /// spec.
+  /// quantizedModelScore with rankByModel's tie-break. Independent of the
+  /// GPU spec.
   static std::vector<RankedConfig> rankByHostCost(
       const StencilProgram &Program, const ProblemSize &Problem,
       std::size_t TopK, int Threads);

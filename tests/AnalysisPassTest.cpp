@@ -912,7 +912,7 @@ TEST(ResourceEstimation, MatchesOccupancyModels) {
   Config.BT = 4;
   Config.BS = {128};
   Config.HS = 0;
-  ResourceEstimate E = estimateResources(*P, Config);
+  ResourceEstimate E = estimateResources(*P, lowerSchedule(*P, Config));
   ASSERT_TRUE(E.Valid);
   EXPECT_EQ(E.RegistersPerThread, an5dRegistersPerThread(*P, Config.BT));
   EXPECT_EQ(E.SmemBytesPerBlock,
@@ -931,7 +931,7 @@ TEST(ResourceEstimation, OccupancySliceAgreesWithFullEstimate) {
   Config.BT = 2;
   Config.BS = {32, 32};
   Config.HS = 0;
-  ResourceEstimate Full = estimateResources(*P, Config);
+  ResourceEstimate Full = estimateResources(*P, lowerSchedule(*P, Config));
   ResourceEstimate Occ = estimateOccupancy(*P, Config);
   ASSERT_TRUE(Full.Valid);
   ASSERT_TRUE(Occ.Valid);

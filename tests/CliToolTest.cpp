@@ -304,19 +304,25 @@ TEST(CliTool, HostOnlyBlockRefusesCudaFacingOutputs) {
 
 TEST(CliTool, RunNativeSecondInvocationHitsCache) {
   std::string Cache = freshKernelCache("hit");
-  std::string Command = an5dc() +
-                        " --benchmark j2d5pt --bt 2 --bs 32 --hs 8 "
-                        "--kernel-cache " +
-                        Cache + " --run-native";
-  auto [Code1, Output1] = runCommand(Command);
+  auto Command = [&](const std::string &BS) {
+    return an5dc() + " --benchmark j2d5pt --bt 2 --bs " + BS +
+           " --hs 8 --kernel-cache " + Cache + " --run-native";
+  };
+  auto [Code1, Output1] = runCommand(Command("32"));
   EXPECT_EQ(Code1, 0) << Output1;
   EXPECT_NE(Output1.find("kernel cache: miss"), std::string::npos)
       << Output1;
-  auto [Code2, Output2] = runCommand(Command);
+  auto [Code2, Output2] = runCommand(Command("32"));
   EXPECT_EQ(Code2, 0) << Output2;
   EXPECT_NE(Output2.find("kernel cache: hit"), std::string::npos)
       << Output2;
   EXPECT_NE(Output2.find("GFLOP/s"), std::string::npos);
+  // bS is a run argument, so another block size loads the same kernel.
+  auto [Code3, Output3] = runCommand(Command("64"));
+  EXPECT_EQ(Code3, 0) << Output3;
+  EXPECT_NE(Output3.find("kernel cache: hit"), std::string::npos)
+      << Output3;
+  EXPECT_NE(Output3.find("bS=64"), std::string::npos) << Output3;
 }
 
 TEST(CliTool, TuneWithNativeMeasurement) {

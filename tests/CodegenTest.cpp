@@ -306,5 +306,6 @@ TEST(CppCodegen, ThreeDimensionalVariant) {
   EXPECT_NE(Source.find("using Real = double;"), std::string::npos);
   EXPECT_NE(Source.find("int d2"), std::string::npos)
       << "3D read lambdas take three offsets";
-  EXPECT_NE(Source.find("static const int BS2 = 10;"), std::string::npos);
+  EXPECT_NE(Source.find("static const int BS[] = {12, 10};"),
+            std::string::npos);
 }

@@ -411,14 +411,13 @@ TEST(MetricsTuneTest, ColdThenWarmCacheCountsExactly) {
   obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
   Tuner T(GpuSpec::teslaV100());
 
-  // Cold cache: every unique kernel compiles exactly once. The two
-  // candidates share a bS, and a kernel bakes in only the stencil and bS,
-  // so the first compiles and the second loads it from the cache.
+  // Cold cache: every unique kernel compiles exactly once. A kernel bakes
+  // in only the stencil, so the first candidate compiles and the second
+  // loads it from the cache.
   Registry.reset();
   TuneOutcome Cold = T.tune(*Program, Problem, Options);
   ASSERT_TRUE(Cold.Feasible);
   ASSERT_EQ(Cold.TopByModel.size(), 2u);
-  ASSERT_EQ(Cold.TopByModel[0].Config.BS, Cold.TopByModel[1].Config.BS);
   EXPECT_EQ(Cold.MeasurementFailures, 0u);
   EXPECT_EQ(Cold.FirstFailureKind, MeasureFailureKind::None);
   EXPECT_EQ(Registry.counterValue("kernel_cache.misses"), 1);
@@ -497,7 +496,7 @@ TEST(TracedRunTest, ChunkedTracedRunMatchesReferenceBitwise) {
   Config.BT = 2;
   Config.BS = {12};
   Config.HS = 7;
-  NativeExecutor Executor(*Program, Config,
+  NativeExecutor Executor(*Program, lowerSchedule(*Program, Config),
                           fastBuildOptions(sharedCacheDir()));
   ASSERT_TRUE(Executor.ok()) << Executor.error();
   EXPECT_EQ(Executor.blockTime(), 2);

@@ -15,16 +15,17 @@
 ///  2. The IR's derived fields encode the paper's schedule (ring depth
 ///     2*rad+1, tier stream lag T*rad, shrinking reach, hS chunking, the
 ///     1D PinBoundaryOnly / >=2D CarryPreviousTier halo policies).
-///  3. Render equivalence: the backends are pure renderers — feeding the
-///     explicitly lowered IR into CppCodegen/CudaCodegen reproduces the
-///     config-overload output and the checked-in pre-refactor goldens
-///     byte for byte.
+///  3. Rendering: the C++ kernel library depends on the stencil alone —
+///     every configuration of a builtin renders one library, the golden's
+///     for j2d5pt — and the CUDA renderer accepts every 1D builtin. The
+///     golden suites pin the rendered bytes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/passes/AccessBoundsProver.h"
 #include "codegen/CppCodegen.h"
 #include "codegen/CudaCodegen.h"
+#include "runtime/NativeMeasurement.h"
 #include "schedule/ScheduleIR.h"
 #include "stencils/Benchmarks.h"
 #include "tuning/Tuner.h"
@@ -32,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace an5d;
@@ -133,43 +135,40 @@ TEST(ScheduleIrLowering, OneDStreamingLowersWithoutSpatialHalo) {
 // Render equivalence: backends are pure renderers of the one IR
 //===----------------------------------------------------------------------===//
 
-// Every backend entry point takes a lowered IR: rendering one must
-// reproduce the checked-in goldens byte for byte on both backends. This
-// pins "no backend re-derives the schedule": the goldens were rendered
-// from the same IR, so a backend that consulted anything else would drift.
-TEST(ScheduleIrRender, CppSourcesMatchConfigPathAndGoldens) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig C;
-  C.BT = 2;
-  C.BS = {128};
-  C.HS = 128;
-  ScheduleIR IR = lowerSchedule(*P, C);
-  EXPECT_EQ(generateCppKernelLibrary(*P, IR),
-            readGolden("an5d_j2d5pt_omp.cpp.golden"));
-
-  BlockConfig CheckConfig;
-  CheckConfig.BT = 2;
-  CheckConfig.BS = {32};
-  CheckConfig.HS = 8;
-  ProblemSize Problem;
-  Problem.Extents = {40, 37};
-  Problem.TimeSteps = 11;
-  ScheduleIR CheckIr = lowerSchedule(*P, CheckConfig);
-  EXPECT_EQ(generateCppCheckProgram(*P, CheckIr, Problem),
-            readGolden("an5d_j2d5pt_check.cpp.golden"));
-}
-
-TEST(ScheduleIrRender, CudaSourcesMatchConfigPathAndGoldens) {
-  auto P = makeJacobi2d5pt(ScalarType::Float);
-  BlockConfig C;
-  C.BT = 2;
-  C.BS = {128};
-  C.HS = 128;
-  ScheduleIR IR = lowerSchedule(*P, C);
-  GeneratedCuda FromIr = generateCuda(*P, IR);
-  EXPECT_EQ(FromIr.KernelSource, readGolden("an5d_j2d5pt_bt2.cu.golden"));
-  EXPECT_EQ(FromIr.HostSource,
-            readGolden("an5d_j2d5pt_bt2_host.cpp.golden"));
+// Kernel ABI v3 takes bT, hS and bS per call, so a kernel library bakes
+// in the stencil and its element type only: every configuration a tune can
+// time — the model grid and the host menu — renders the same library, and
+// a native tune compiles once per stencil.
+TEST(ScheduleIrRender, KernelLibraryIsOnePerStencil) {
+  Tuner T(GpuSpec::teslaV100());
+  for (const std::string &Name : allBuiltinStencils()) {
+    for (ScalarType Type : {ScalarType::Float, ScalarType::Double}) {
+      auto P = makeBenchmarkStencil(Name, Type);
+      ASSERT_NE(P, nullptr) << Name;
+      std::vector<BlockConfig> Configs;
+      for (const BlockConfig &C : T.enumerateConfigs(*P))
+        if (C.isFeasible(P->radius()))
+          Configs.push_back(C);
+      for (const RankedConfig &Ranked : Tuner::rankByHostCost(
+               *P, nativeMeasurementProblem(P->numDims()),
+               std::numeric_limits<std::size_t>::max(), 4))
+        Configs.push_back(Ranked.Config);
+      ASSERT_FALSE(Configs.empty()) << Name;
+      const std::string Library =
+          generateCppKernelLibrary(*P, lowerSchedule(*P, Configs.front()));
+      std::size_t Differing = 0;
+      for (const BlockConfig &C : Configs)
+        if (generateCppKernelLibrary(*P, lowerSchedule(*P, C)) != Library &&
+            Differing++ == 0)
+          ADD_FAILURE() << Name << " " << scalarTypeName(Type) << ": "
+                        << C.toString() << " renders another library than "
+                        << Configs.front().toString();
+      EXPECT_EQ(Differing, 0u) << Name << " " << scalarTypeName(Type)
+                               << " over " << Configs.size() << " configs";
+      if (Name == "j2d5pt" && Type == ScalarType::Float)
+        EXPECT_EQ(Library, readGolden("an5d_j2d5pt_omp.cpp.golden"));
+    }
+  }
 }
 
 TEST(ScheduleIrRender, OneDCudaRendersFromTheStreamingIr) {

@@ -42,8 +42,9 @@
 ///                        block above the device's threads-per-block cap)
 ///   --lint               lint the generated kernel-library and
 ///                        check-program sources (ABI symbols, exact-float
-///                        literals, banned calls, restrict qualifiers)
-///                        and lint every JIT kernel before compiling it
+///                        literals, banned calls, restrict qualifiers);
+///                        the library is the one source every JIT kernel
+///                        of the stencil compiles
 ///   --analyze FILE       run the static analysis passes (tape verifier,
 ///                        access-bounds prover — the schedule-legality
 ///                        proof over every degree — and resource
@@ -323,7 +324,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
       Options.VerifyNative = true;
     } else if (Arg == "--lint") {
       Options.Lint = true;
-      Options.NativeOpts.LintKernels = true;
     } else if (Arg == "--analyze") {
       const char *V = Next();
       if (!V)
@@ -418,6 +418,22 @@ BlockConfig verificationConfig(const StencilProgram &Program,
   return Small;
 }
 
+/// The self-check program --emit-check writes and --lint lints: \p Config
+/// shrunk by verificationConfig, on a small fixed problem.
+std::string checkProgramSource(const StencilProgram &Program,
+                               const BlockConfig &Config) {
+  ProblemSize CheckSize;
+  CheckSize.Extents = Program.numDims() == 1
+                          ? std::vector<long long>{95}
+                      : Program.numDims() == 2
+                          ? std::vector<long long>{40, 37}
+                          : std::vector<long long>{14, 12, 11};
+  CheckSize.TimeSteps = 11;
+  return generateCppCheckProgram(
+      Program, lowerSchedule(Program, verificationConfig(Program, Config)),
+      CheckSize);
+}
+
 /// The --verify-native problems, sized from the configuration so the
 /// checks cross the seams a production run crosses. Both have 2*hS+3
 /// planes on the streaming axis when hS > 0 (three chunks) and 2*bT+1
@@ -471,9 +487,9 @@ bool nativeMatchesReference(const StencilProgram &Program,
 /// CPU-sized measurement problem; prints throughput and cache behavior.
 /// \p Repeats > 1 keeps the fastest run (--measure-repeats).
 template <typename T>
-bool runNativeTimed(const StencilProgram &Program, const BlockConfig &Config,
+bool runNativeTimed(const StencilProgram &Program, const ScheduleIR &Schedule,
                     const NativeRuntimeOptions &NativeOpts, int Repeats) {
-  NativeExecutor Executor(Program, Config, NativeOpts);
+  NativeExecutor Executor(Program, Schedule, NativeOpts);
   if (!Executor.ok()) {
     std::fprintf(stderr, "an5dc: %s\n", Executor.error().c_str());
     return false;
@@ -501,7 +517,7 @@ bool runNativeTimed(const StencilProgram &Program, const BlockConfig &Config,
                   CellUpdates / Timing.Seconds / 1e9;
   std::printf("native run (%s, %s): %.3f s (best of %d), %.2f GFLOP/s on "
               "%d thread(s)\n",
-              Config.toString().c_str(), Problem.toString().c_str(),
+              Schedule.Config.toString().c_str(), Problem.toString().c_str(),
               Timing.Seconds, Repeats, Gflops, Timing.ThreadsUsed);
   return true;
 }
@@ -686,8 +702,8 @@ int main(int Argc, char **Argv) {
   if (Options.Tune) {
     // The native backend times real kernels on this CPU, so it tunes over
     // the CPU-sized measurement problem (the paper-default extents are
-    // sized for a V100) and narrows the default top-K — each candidate
-    // costs a compile. `Problem` itself stays on the paper default so
+    // sized for a V100) and narrows the default top-K — each candidate is
+    // a timed kernel run. `Problem` itself stays on the paper default so
     // --print-model / --report keep their usual meaning.
     ProblemSize TuneProblem = Problem;
     if (NativeMeasure) {
@@ -777,7 +793,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  // The analysis and every renderer below take this one lowering.
+  // The analysis, every renderer and the native runs below take this one
+  // lowering.
   const ScheduleIR Lowered = lowerSchedule(*Program, Config);
 
   if (!Options.AnalyzePath.empty()) {
@@ -830,8 +847,7 @@ int main(int Argc, char **Argv) {
 
   if (Options.Lint) {
     // Lint the sources --emit-omp and --emit-check would write for this
-    // configuration (JIT candidates are additionally linted through
-    // NativeRuntimeOptions::LintKernels, set alongside this flag).
+    // configuration; every JIT kernel of the stencil compiles the former.
     bool Clean = true;
     auto LintOne = [&](const std::string &Source, LintTarget Target,
                        const char *Tag) {
@@ -848,18 +864,8 @@ int main(int Argc, char **Argv) {
     };
     LintOne(generateCppKernelLibrary(*Program, Lowered),
             LintTarget::KernelLibrary, "kernel library");
-    ProblemSize CheckSize;
-    CheckSize.Extents = Program->numDims() == 1
-                            ? std::vector<long long>{95}
-                        : Program->numDims() == 2
-                            ? std::vector<long long>{40, 37}
-                            : std::vector<long long>{14, 12, 11};
-    CheckSize.TimeSteps = 11;
-    LintOne(generateCppCheckProgram(
-                *Program,
-                lowerSchedule(*Program, verificationConfig(*Program, Config)),
-                CheckSize),
-            LintTarget::CheckProgram, "check program");
+    LintOne(checkProgramSource(*Program, Config), LintTarget::CheckProgram,
+            "check program");
     if (!Clean)
       return 1;
   }
@@ -910,18 +916,9 @@ int main(int Argc, char **Argv) {
 
   if (!Options.EmitCheckDir.empty()) {
     std::filesystem::create_directories(Options.EmitCheckDir);
-    BlockConfig Small = verificationConfig(*Program, Config);
-    ProblemSize CheckSize;
-    CheckSize.Extents = Program->numDims() == 1
-                            ? std::vector<long long>{95}
-                        : Program->numDims() == 2
-                            ? std::vector<long long>{40, 37}
-                            : std::vector<long long>{14, 12, 11};
-    CheckSize.TimeSteps = 11;
     std::string Path = Options.EmitCheckDir + "/" +
                        Program->name() + "_check.cpp";
-    std::ofstream(Path) << generateCppCheckProgram(
-        *Program, lowerSchedule(*Program, Small), CheckSize);
+    std::ofstream(Path) << checkProgramSource(*Program, Config);
     std::printf("wrote %s\n", Path.c_str());
   }
 
@@ -936,10 +933,10 @@ int main(int Argc, char **Argv) {
 
   if (Options.RunNative) {
     bool Ok = Program->elemType() == ScalarType::Float
-                  ? runNativeTimed<float>(*Program, Config,
+                  ? runNativeTimed<float>(*Program, Lowered,
                                           Options.NativeOpts,
                                           Options.MeasureRepeats)
-                  : runNativeTimed<double>(*Program, Config,
+                  : runNativeTimed<double>(*Program, Lowered,
                                            Options.NativeOpts,
                                            Options.MeasureRepeats);
     if (!Ok)
@@ -947,7 +944,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (Options.VerifyNative) {
-    NativeExecutor Executor(*Program, Config, Options.NativeOpts);
+    NativeExecutor Executor(*Program, Lowered, Options.NativeOpts);
     if (!Executor.ok()) {
       std::fprintf(stderr, "an5dc: %s\n", Executor.error().c_str());
       return 1;
