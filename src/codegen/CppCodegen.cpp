@@ -374,14 +374,16 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
 /// The blocked invocation for 2D and 3D stencils: spatial blocking over
 /// the non-streamed axes (Section 4). Lanes are row-major over the blocked
 /// axes, so the compute loops run per blocked row over the contiguous lane
-/// axis; a ring row is W2 lanes long, BS2 clipped to the lanes a block of
-/// the run can touch. A 2D stencil is the 3D kernel with one row per
-/// block: the invocation views its grid as one row and its blocks as one
-/// row tall (BS1 = 1) with no row halo (RAD1 = 0), so the row loop runs
-/// once and no halo row is pinned. Shared verbatim between the check
-/// program and the kernel library; the OpenMP pragmas are inert without
-/// -fopenmp. \p Rows declares the producer's ring rows and \p Update is
-/// the inline update expression over them.
+/// axis; a ring row is W2 lanes long and a ring plane W1 rows tall, BS2
+/// and BS1 clipped to the lanes and rows a block of the run can touch (a
+/// tier reads only its producer's valid region, AN5D-A212, so nothing
+/// past the grid halo is read). A 2D stencil is the 3D kernel with one
+/// row per block: the invocation views its grid as one row and its
+/// blocks as one row tall (BS1 = 1) with no row halo (RAD1 = 0), so the
+/// row loop runs once, no halo row is pinned and W1 is 1. Shared verbatim
+/// between the check program and the kernel library; the OpenMP pragmas
+/// are inert without -fopenmp. \p Rows declares the producer's ring rows
+/// and \p Update is the inline update expression over them.
 static std::string emitBlockedRows(const std::string &Rows,
                                    const std::string &Update) {
   return R"cpp(// One kernel call: a temporal block of `degree` steps (Section 4.1)
@@ -395,7 +397,7 @@ static std::string emitBlockedRows(const std::string &Rows,
 // as an `omp simd` loop and pins the grid-halo rows and lanes around it
 // to the input. Nothing else is written: a tier reads only its producer's
 // valid region (AN5D-A212), so no value is carried across the halo and no
-// lane past the grid halo is ever read.
+// lane or row past the grid halo is ever read.
 static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, const long long *ext, int degree, long long hs, const int *bs) {
   const long long ns = ext[0], n1 = DIMS == 3 ? ext[1] : 1, n2 = ext[DIMS - 1];
   const int BS1 = DIMS == 3 ? bs[0] : 1, BS2 = bs[DIMS - 2];
@@ -411,10 +413,13 @@ static void runInvocation(const Real *__restrict__ in, Real *__restrict__ out, c
   const int ringDepth = 2 * RAD + 1;
   // A ring row holds the lanes of a blocked row that a block can touch:
   // BS2, or the n2 + 2*degree*RAD lanes of a block that spans the row.
-  // No tier reads or writes a lane past the grid halo, so a shorter row
-  // drops only storage the kernel never used.
+  // A ring plane likewise holds W1 rows: BS1, or the n1 + 2*degree*RAD1
+  // rows of a block that spans the axis. No tier reads or writes a lane
+  // or row past the grid halo, so a shorter row or plane drops only
+  // storage the kernel never used.
+  const long long W1 = lmin(BS1, n1 + 2LL * degree * RAD1);
   const long long W2 = lmin(BS2, n2 + 2LL * degree * RAD);
-  const long long LANES = (long long)BS1 * W2;
+  const long long LANES = W1 * W2;
   const size_t tierSize = (size_t)(ringDepth * LANES);
 #ifdef _OPENMP
 #pragma omp parallel

@@ -21,9 +21,55 @@
 #include <unistd.h>
 #endif
 
+#if defined(__ELF__)
+#include <cstring>
+#include <elf.h>
+#include <link.h>
+#endif
+
 namespace an5d {
 
 namespace fs = std::filesystem;
+
+/// Whether the library at \p Path holds every byte its ELF header points
+/// at: the program header table, each loadable segment and the section
+/// header table. dlopen maps a truncated library past its end, and the
+/// process dies of SIGBUS when it touches a page there, so a cached
+/// library that fails this check is rebuilt rather than loaded. On a
+/// non-ELF host every file passes.
+static bool wholeLibrary(const std::string &Path) {
+#if defined(__ELF__)
+  std::error_code Ec;
+  const std::uint64_t Size = fs::file_size(Path, Ec);
+  std::ifstream In(Path, std::ios::binary);
+  ElfW(Ehdr) Header{};
+  if (Ec || !In.read(reinterpret_cast<char *>(&Header), sizeof(Header)) ||
+      std::memcmp(Header.e_ident, ELFMAG, SELFMAG) != 0 ||
+      Header.e_ident[EI_CLASS] != (sizeof(void *) == 8 ? ELFCLASS64
+                                                       : ELFCLASS32) ||
+      Header.e_phentsize != sizeof(ElfW(Phdr)))
+    return false;
+  auto Inside = [Size](std::uint64_t Offset, std::uint64_t Bytes) {
+    return Offset <= Size && Bytes <= Size - Offset;
+  };
+  if (!Inside(Header.e_phoff, std::uint64_t{Header.e_phnum} *
+                                  Header.e_phentsize) ||
+      !Inside(Header.e_shoff,
+              std::uint64_t{Header.e_shnum} * Header.e_shentsize))
+    return false;
+  In.seekg(static_cast<std::streamoff>(Header.e_phoff));
+  for (unsigned I = 0; I < Header.e_phnum; ++I) {
+    ElfW(Phdr) Segment{};
+    if (!In.read(reinterpret_cast<char *>(&Segment), sizeof(Segment)) ||
+        (Segment.p_type == PT_LOAD &&
+         !Inside(Segment.p_offset, Segment.p_filesz)))
+      return false;
+  }
+#else
+  (void)Path;
+#endif
+  return true;
+}
 
 std::string KernelCache::defaultDirectory() {
   if (const char *Env = std::getenv("AN5D_KERNEL_CACHE"); Env && *Env)
@@ -104,7 +150,10 @@ KernelArtifact KernelCache::getOrBuild(
   }
   std::lock_guard<std::mutex> KeyLock(*KeyMutex);
 
-  if (!ForceRecompile && fs::exists(Artifact.LibraryPath, Ec)) {
+  // A library cut short (by an outside writer or a damaged disk: this
+  // cache only publishes whole files) is rebuilt like a missing one.
+  if (!ForceRecompile && fs::exists(Artifact.LibraryPath, Ec) &&
+      wholeLibrary(Artifact.LibraryPath)) {
     Artifact.Ok = true;
     Artifact.CacheHit = true;
     // Touch the artifact so the LRU eviction order tracks use, not just

@@ -99,8 +99,10 @@ public:
                              const std::string &CompilerFingerprint);
 
   /// Returns the cached shared object for (Source, Compiler, ExtraFlags),
-  /// compiling it on a miss. \p ForceRecompile rebuilds even on a hit
-  /// (counted as a miss).
+  /// compiling it on a miss. A cached library counts as a hit only when
+  /// it holds every byte its ELF headers point at; one cut short is
+  /// rebuilt (a miss) instead of being mapped past its end. \p
+  /// ForceRecompile rebuilds even on a hit (counted as a miss).
   KernelArtifact getOrBuild(const std::string &Source,
                             const NativeCompiler &Compiler,
                             const std::vector<std::string> &ExtraFlags = {},

@@ -36,10 +36,28 @@ ProblemSize nativeMeasurementProblem(int NumDims) {
   return Problem;
 }
 
+namespace {
+
+/// The input of one timed problem: the pristine grid, filled once, and
+/// the two buffers every run starts from a fresh copy of.
+template <typename T> struct TimingInput {
+  Grid<T> Pristine, Buf0, Buf1;
+
+  TimingInput(const ProblemSize &Problem, int Radius)
+      : Pristine(Problem.Extents, Radius), Buf0(Problem.Extents, Radius),
+        Buf1(Problem.Extents, Radius) {
+    fillGridDeterministic(Pristine, 42);
+  }
+};
+
+/// The timing loop of the sweep and of timeNativeKernel: pins the
+/// kernel's pool, runs one untimed warmup when \p Warmup is set, then keeps
+/// the fastest of \p Repeats timed runs, each from a fresh copy of the
+/// pristine input.
 template <typename T>
-KernelTiming timeNativeKernel(const NativeExecutor &Executor,
-                              const ProblemSize &Problem, int Radius,
-                              int Repeats, int Threads, bool SkipWarmup) {
+KernelTiming timeRuns(const NativeExecutor &Executor,
+                      const ProblemSize &Problem, TimingInput<T> &Input,
+                      int Repeats, int Threads, bool Warmup) {
   // Pin explicitly: with no request (Threads == 0) pin to the machine's
   // hardware concurrency, not to the kernel's current default — the
   // latter is whatever ambient OMP_NUM_THREADS initialized the pool to,
@@ -66,19 +84,16 @@ KernelTiming timeNativeKernel(const NativeExecutor &Executor,
   // OpenMP ignores the pin and stays at 1.
   Timing.ThreadsUsed = Executor.kernelMaxThreads();
 
-  Grid<T> Pristine(Problem.Extents, Radius);
-  fillGridDeterministic(Pristine, 42);
-  Grid<T> Buf0 = Pristine, Buf1 = Pristine;
   double Best = std::numeric_limits<double>::infinity();
   int TimedRepeats = std::max(1, Repeats);
-  for (int Rep = SkipWarmup ? 0 : -1; Rep < TimedRepeats; ++Rep) {
-    copyGrid(Pristine, Buf0);
-    copyGrid(Pristine, Buf1);
+  for (int Rep = Warmup ? -1 : 0; Rep < TimedRepeats; ++Rep) {
+    copyGrid(Input.Pristine, Input.Buf0);
+    copyGrid(Input.Pristine, Input.Buf1);
     // The span's clock reads happen strictly outside the Start..now
     // window below, so enabling tracing widens the span, not the number.
     obs::TraceSpan RepSpan(Rep < 0 ? "measure.warmup" : "measure.repeat");
     auto Start = std::chrono::steady_clock::now();
-    int Rc = Executor.runRaw(Buf0.data(), Buf1.data(),
+    int Rc = Executor.runRaw(Input.Buf0.data(), Input.Buf1.data(),
                              Problem.Extents.data(),
                              static_cast<int>(Problem.Extents.size()),
                              Problem.TimeSteps);
@@ -95,7 +110,7 @@ KernelTiming timeNativeKernel(const NativeExecutor &Executor,
   }
   // Metric bumps live after the timed loop — one batch per call, never
   // inside a measured window.
-  if (!SkipWarmup)
+  if (Warmup)
     obs::count("measure.warmups");
   obs::count("measure.repeats", TimedRepeats);
   if (Best < MinMeasurableSeconds)
@@ -106,12 +121,23 @@ KernelTiming timeNativeKernel(const NativeExecutor &Executor,
   return Timing;
 }
 
+} // namespace
+
+template <typename T>
+KernelTiming timeNativeKernel(const NativeExecutor &Executor,
+                              const ProblemSize &Problem, int Radius,
+                              int Repeats, int Threads) {
+  TimingInput<T> Input(Problem, Radius);
+  return timeRuns(Executor, Problem, Input, Repeats, Threads,
+                  /*Warmup=*/true);
+}
+
 template KernelTiming timeNativeKernel<float>(const NativeExecutor &,
                                               const ProblemSize &, int, int,
-                                              int, bool);
+                                              int);
 template KernelTiming timeNativeKernel<double>(const NativeExecutor &,
                                                const ProblemSize &, int, int,
-                                               int, bool);
+                                               int);
 
 std::vector<MeasuredResult>
 nativeMeasuredSweep(const StencilProgram &Program,
@@ -149,9 +175,8 @@ nativeMeasuredSweep(const StencilProgram &Program,
   }
 
   // Candidates sharing one configuration — the same top-K config timed
-  // against several problem sizes — share one executor and its warmup.
-  // Each candidate maps to the slot of the first candidate with its
-  // configuration.
+  // against several problem sizes — share one executor. Each candidate
+  // maps to the slot of the first candidate with its configuration.
   std::vector<std::size_t> KernelSlot(Candidates.size());
   std::vector<std::size_t> Slots;
   {
@@ -201,57 +226,70 @@ nativeMeasuredSweep(const StencilProgram &Program,
   }
 
   // Stage 2: serial timing, one kernel at a time (measurements must not
-  // contend with each other for cores). A shared executor warms up on its
-  // first timed candidate only: the warmup pages in the kernel code and
-  // spins up its thread pool, neither of which depends on the extents, so
-  // later problem sizes of the same kernel skip it.
+  // contend with each other for cores). Every candidate runs the
+  // stencil's one kernel library, so the sweep warms it up once, on the
+  // first candidate whose kernel runs: the warmup pages in the kernel code
+  // and spins up its thread pool, neither of which depends on the
+  // configuration or the extents. Each problem size gets one input,
+  // filled on its first timed candidate and freed after its last; every
+  // timed repeat restores both buffers from its pristine grid, so each
+  // candidate starts from the same bits.
   double FlopsPerCell =
       static_cast<double>(Program.flopsPerCell().total());
-  std::vector<bool> Warmed(Candidates.size(), false);
+  std::vector<std::size_t> LastUse(Problems.size());
   for (std::size_t I = 0; I < Candidates.size(); ++I) {
-    std::size_t Slot = KernelSlot[I];
-    NativeExecutor *Executor = Executors[Slot].get();
-    if (!Executor || !Executor->ok()) {
-      // Not an infeasible configuration: record why the kernel never ran
-      // so the tuner can surface compile failures distinctly.
-      Results[I].FailureReason =
-          Executor ? Executor->error() : "kernel was never built";
-      Results[I].FailureKind = Executor ? MeasureFailureKind::BuildFailed
-                                        : MeasureFailureKind::NeverBuilt;
-      continue;
-    }
     assert(Candidates[I].ProblemIndex < Problems.size() &&
            "candidate addresses a problem size outside the sweep");
-    const ProblemSize &Problem = Problems[Candidates[I].ProblemIndex];
-    obs::TraceSpan CandidateSpan("measure.candidate");
-    if (CandidateSpan.active()) {
-      CandidateSpan.attr("config", Candidates[I].Config.toString());
-      CandidateSpan.attr("problem",
-                         std::to_string(Candidates[I].ProblemIndex));
-    }
-    KernelTiming Timing =
-        Program.elemType() == ScalarType::Float
-            ? timeNativeKernel<float>(*Executor, Problem, Program.radius(),
-                                      Options.Repeats,
-                                      Options.Runtime.Threads, Warmed[Slot])
-            : timeNativeKernel<double>(*Executor, Problem, Program.radius(),
-                                       Options.Repeats,
-                                       Options.Runtime.Threads,
-                                       Warmed[Slot]);
-    if (Timing.Rc != 0) {
-      Results[I].FailureReason = "kernel rejected the run (code " +
-                                 std::to_string(Timing.Rc) + ")";
-      Results[I].FailureKind = MeasureFailureKind::RunRejected;
-      continue;
-    }
-    Warmed[Slot] = true;
-    MeasuredResult &Out = Results[I];
-    Out.Feasible = true;
-    Out.MeasuredTimeSeconds = Timing.Seconds;
-    double CellUpdates = static_cast<double>(Problem.cellCount()) *
-                         static_cast<double>(Problem.TimeSteps);
-    Out.MeasuredGflops = FlopsPerCell * CellUpdates / Timing.Seconds / 1e9;
+    LastUse[Candidates[I].ProblemIndex] = I;
   }
+  auto TimeCandidates = [&](auto Elem) {
+    using T = decltype(Elem);
+    std::vector<std::unique_ptr<TimingInput<T>>> Inputs(Problems.size());
+    bool Warmed = false;
+    for (std::size_t I = 0; I < Candidates.size(); ++I) {
+      NativeExecutor *Executor = Executors[KernelSlot[I]].get();
+      if (!Executor || !Executor->ok()) {
+        // Not an infeasible configuration: record why the kernel never
+        // ran so the tuner can surface compile failures distinctly.
+        Results[I].FailureReason =
+            Executor ? Executor->error() : "kernel was never built";
+        Results[I].FailureKind = Executor ? MeasureFailureKind::BuildFailed
+                                          : MeasureFailureKind::NeverBuilt;
+        continue;
+      }
+      const std::size_t P = Candidates[I].ProblemIndex;
+      const ProblemSize &Problem = Problems[P];
+      obs::TraceSpan CandidateSpan("measure.candidate");
+      if (CandidateSpan.active()) {
+        CandidateSpan.attr("config", Candidates[I].Config.toString());
+        CandidateSpan.attr("problem", std::to_string(P));
+      }
+      if (!Inputs[P])
+        Inputs[P] = std::make_unique<TimingInput<T>>(Problem, Program.radius());
+      KernelTiming Timing =
+          timeRuns(*Executor, Problem, *Inputs[P], Options.Repeats,
+                   Options.Runtime.Threads, /*Warmup=*/!Warmed);
+      if (I == LastUse[P])
+        Inputs[P].reset();
+      if (Timing.Rc != 0) {
+        Results[I].FailureReason = "kernel rejected the run (code " +
+                                   std::to_string(Timing.Rc) + ")";
+        Results[I].FailureKind = MeasureFailureKind::RunRejected;
+        continue;
+      }
+      Warmed = true;
+      MeasuredResult &Out = Results[I];
+      Out.Feasible = true;
+      Out.MeasuredTimeSeconds = Timing.Seconds;
+      double CellUpdates = static_cast<double>(Problem.cellCount()) *
+                           static_cast<double>(Problem.TimeSteps);
+      Out.MeasuredGflops = FlopsPerCell * CellUpdates / Timing.Seconds / 1e9;
+    }
+  };
+  if (Program.elemType() == ScalarType::Float)
+    TimeCandidates(float{});
+  else
+    TimeCandidates(double{});
 
   // One failure-kind counter bump per failed result, in one place: the
   // metrics exactly mirror what the tuner's reduction will count into

@@ -51,10 +51,12 @@ struct NativeMeasureOptions {
   int CompileThreads = 0;
 
   /// Timed repetitions per candidate; the fastest is kept (compensates
-  /// for scheduler noise on a busy host). Each compiled kernel
-  /// additionally runs one untimed warmup before its first timed repeats;
-  /// candidates sharing the kernel (the same configuration timed against
-  /// several problem sizes) reuse that warmup (an5dc --measure-repeats
+  /// for scheduler noise on a busy host). Every timed repetition starts
+  /// from the same pristine input. A sweep adds one untimed warmup in
+  /// all, before the timed runs of its first candidate whose kernel runs:
+  /// every candidate runs the stencil's one kernel library, so what a
+  /// warmup keeps out of the timed runs (paging in the kernel, starting
+  /// its thread pool) happens once per sweep (an5dc --measure-repeats
   /// sets the timed count).
   int Repeats = 2;
 };
@@ -82,43 +84,42 @@ struct KernelTiming {
 /// would be noise (or a division by zero on a coarse clock). 100ns.
 constexpr double MinMeasurableSeconds = 1e-7;
 
-/// The measurement protocol shared by the sweep and `an5dc --run-native`:
-/// pins the kernel's OpenMP pool (\p Threads; 0 = hardware concurrency)
-/// and restores the previous pool size on exit, fills pristine double
-/// buffers, runs one untimed warmup, then keeps the fastest of \p Repeats
-/// timed `an5d_run` invocations. T must match the kernel's element type.
-/// \p SkipWarmup drops the untimed run — for a kernel that already ran in
-/// this process (the sweep reuses one warmup across the problem sizes a
-/// candidate is timed against; the buffers are freshly touched either
-/// way).
+/// The measurement protocol of `an5dc --run-native`, the one-off form of
+/// the sweep's timing loop: fills one pristine input, pins the kernel's
+/// OpenMP pool (\p Threads; 0 = hardware concurrency) and restores the
+/// previous pool size on exit, runs one untimed warmup, then keeps the
+/// fastest of \p Repeats timed `an5d_run` invocations, each from a fresh
+/// copy of the pristine input. T must match the kernel's element type.
 template <typename T>
 KernelTiming timeNativeKernel(const NativeExecutor &Executor,
                               const ProblemSize &Problem, int Radius,
-                              int Repeats, int Threads,
-                              bool SkipWarmup = false);
+                              int Repeats, int Threads);
 
 extern template KernelTiming
 timeNativeKernel<float>(const NativeExecutor &, const ProblemSize &, int,
-                        int, int, bool);
+                        int, int);
 extern template KernelTiming
 timeNativeKernel<double>(const NativeExecutor &, const ProblemSize &, int,
-                         int, int, bool);
+                         int, int);
 
 /// Runs every candidate through a compiled kernel: each candidate is
 /// lowered to its ScheduleIR exactly once (or reuses the IR the tuner
-/// handed down in SweepCandidate::Schedule), executors are built across
-/// \p Options.CompileThreads workers (candidates sharing a configuration
-/// — the same config timed against several problem sizes — share one
-/// executor and its warmup; every configuration of the stencil shares one
+/// handed down in SweepCandidate::Schedule), and executors are built
+/// across \p Options.CompileThreads workers (candidates sharing a
+/// configuration — the same config timed against several problem sizes
+/// — share one executor; every configuration of the stencil shares one
 /// compiled kernel, so a cold sweep compiles once and hits the cache for
-/// the rest), timing runs
-/// serially in candidate order. Results are indexed exactly like
-/// \p Candidates;
-/// infeasible or failed-to-build candidates come back with
-/// Feasible == false, and candidates whose kernel failed to build or
-/// rejected the run carry the reason in MeasuredResult::FailureReason.
-/// \p Cache may be null (a private cache over Options.Runtime.CacheDir is
-/// used).
+/// the rest). Timing then runs serially in candidate order with the
+/// protocol of timeNativeKernel, except that the sweep runs one untimed
+/// warmup in all (on the first candidate whose kernel runs) and fills
+/// one pristine input per problem size (on the first candidate timed
+/// against it, freed after the last), which every timed repeat of every
+/// candidate on that size restores both buffers from. Results are
+/// indexed exactly like \p Candidates; infeasible or failed-to-build
+/// candidates come back with Feasible == false, and candidates whose
+/// kernel failed to build or rejected the run carry the reason in
+/// MeasuredResult::FailureReason. \p Cache may be null (a private cache
+/// over Options.Runtime.CacheDir is used).
 std::vector<MeasuredResult>
 nativeMeasuredSweep(const StencilProgram &Program,
                     const std::vector<SweepCandidate> &Candidates,

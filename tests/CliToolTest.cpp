@@ -11,6 +11,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/JsonLite.h"
+#include "runtime/NativeCompiler.h"
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,27 @@ TEST(CliTool, VerifyNativeMatchesReference) {
   for (const char *Problem : {"19x59 IT=5", "19x27 IT=5"})
     EXPECT_NE(Output.find(std::string("verify-native (bT=2 bS=32 hS=8, ") +
                           Problem + "): native == reference (bitwise)"),
+              std::string::npos)
+        << Problem << ":\n"
+        << Output;
+}
+
+TEST(CliTool, VerifyNativeBlockTallerThanTheGridStaysInMemory) {
+  // A ring plane holds the rows a block can touch, not bs[0] rows, and
+  // the check grid is clipped to what --verify-native holds: a 2^26-row
+  // block verifies under a 2 GiB address-space limit.
+  if (!an5d::NativeCompiler::sanitizerFlags().empty())
+    GTEST_SKIP() << "sanitizer runtimes reserve more address space than "
+                    "the limit allows";
+  auto [Code, Output] = runCommand(
+      "ulimit -v 2097152 && " + an5dc() +
+      " --benchmark star3d1r --bt 1 --bs 67108864,512 --hs 128 "
+      "--measure-threads 2 --kernel-cache " +
+      sharedKernelCache() + " --verify-native");
+  EXPECT_EQ(Code, 0) << Output;
+  for (const char *Problem : {"259x253x1023 IT=3", "259x509x509 IT=3"})
+    EXPECT_NE(Output.find(std::string(Problem) +
+                          "): native == reference (bitwise)"),
               std::string::npos)
         << Problem << ":\n"
         << Output;

@@ -10,7 +10,8 @@
 ///    benchmark — 1D (pure streaming, chunk-parallel), 2D and 3D — the
 ///    acceptance contract of the native backend;
 ///  * KernelCache hit/miss behavior, persistence across cache objects,
-///    force-recompile, and failure accounting;
+///    force-recompile, a truncated library rebuilt, and failure
+///    accounting;
 ///  * NativeCompiler detection and failure reporting, and the host target
 ///    (-march=native and its resolved macro set) in the kernel-cache key;
 ///  * the native measured sweep (compile pool + serial timing) and the
@@ -922,6 +923,32 @@ TEST(KernelCache, ForceRecompileBypassesTheCache) {
   EXPECT_EQ(Cache.stats().Misses, 2u);
 }
 
+TEST(KernelCache, TruncatedLibraryIsRebuiltNotLoaded) {
+  // Loading a library cut short maps pages past its end, and touching one
+  // kills the process (SIGBUS). A hit needs the whole file, so the next
+  // executor rebuilds it and runs. The library is built but never loaded
+  // here: a loaded one stays mapped, and cutting it short would kill this
+  // process instead.
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  std::string Dir = freshCacheDir("truncated");
+  NativeRuntimeOptions Options = fastBuildOptions(Dir);
+  KernelArtifact Built = KernelCache(Dir).getOrBuild(
+      generateCppKernelLibrary(*Program, testSchedule(*Program)),
+      NativeCompiler(), Options.ExtraCompileFlags);
+  ASSERT_TRUE(Built.Ok) << Built.Log;
+  std::filesystem::resize_file(
+      Built.LibraryPath, std::filesystem::file_size(Built.LibraryPath) / 2);
+
+  KernelCache Cache(Dir);
+  NativeExecutor Second(*Program, testSchedule(*Program), Options, &Cache);
+  ASSERT_TRUE(Second.ok()) << Second.error();
+  EXPECT_EQ(Second.libraryPath(), Built.LibraryPath);
+  EXPECT_FALSE(Second.cacheHit());
+  EXPECT_EQ(Cache.stats().Misses, 1u);
+  EXPECT_EQ(Cache.stats().Hits, 0u);
+  expectExecutorMatchesReference<float>(*Program, Second, {23, 19}, 5);
+}
+
 TEST(KernelCache, DifferentFlagsLandOnDifferentKeys) {
   auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
   std::string Dir = freshCacheDir("flags");
@@ -1230,6 +1257,50 @@ TEST(NativeMeasurement, InfeasibleCandidateFailsBeforeAnyCompile) {
   EXPECT_NE(Results[1].FailureReason.find("infeasible"), std::string::npos)
       << Results[1].FailureReason;
   EXPECT_EQ(Cache.stats().Misses, 1u) << "only the feasible kernel compiles";
+}
+
+TEST(NativeMeasurement, SweepWarmsUpOnceAndTimesEveryRepeat) {
+  // Every candidate runs the stencil's one kernel library, so a sweep
+  // warms it up once, on the first candidate whose kernel runs: the
+  // infeasible configuration swept first never runs and does not take
+  // the warmup. Each feasible candidate still gets all of its timed
+  // repeats on each problem size.
+  auto Program = makeBenchmarkStencil("j2d5pt", ScalarType::Float);
+  BlockConfig Infeasible;
+  Infeasible.BT = 8;
+  Infeasible.BS = {16}; // compute width 16 - 2*8*1 = 0
+  BlockConfig Deeper = testConfig(*Program);
+  Deeper.BT = 3;
+  std::vector<ProblemSize> Problems = {{{64, 64}, 4}, {{48, 80}, 3}};
+  std::vector<SweepCandidate> Candidates;
+  for (const BlockConfig &Config :
+       {Infeasible, testConfig(*Program), Deeper})
+    for (std::size_t P = 0; P < Problems.size(); ++P) {
+      SweepCandidate Item;
+      Item.Config = Config;
+      Item.ProblemIndex = P;
+      Candidates.push_back(Item);
+    }
+  NativeMeasureOptions Options;
+  Options.Runtime = fastBuildOptions(sharedCacheDir());
+  Options.Repeats = 3;
+  obs::MetricsRegistry &Registry = obs::MetricsRegistry::global();
+  Registry.reset();
+  std::vector<MeasuredResult> Results =
+      nativeMeasuredSweep(*Program, Candidates, Problems, Options);
+  ASSERT_EQ(Results.size(), 6u);
+  for (std::size_t I = 0; I < Results.size(); ++I) {
+    SCOPED_TRACE(I);
+    if (I < 2) {
+      EXPECT_FALSE(Results[I].Feasible);
+      EXPECT_EQ(Results[I].FailureKind, MeasureFailureKind::BuildFailed);
+    } else {
+      EXPECT_TRUE(Results[I].Feasible) << Results[I].FailureReason;
+      EXPECT_GT(Results[I].MeasuredGflops, 0.0);
+    }
+  }
+  EXPECT_EQ(Registry.counterValue("measure.warmups"), 1);
+  EXPECT_EQ(Registry.counterValue("measure.repeats"), 4 * Options.Repeats);
 }
 
 TEST(NativeMeasurement, TunerCountsCompileFailures) {

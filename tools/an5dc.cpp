@@ -434,6 +434,11 @@ std::string checkProgramSource(const StencilProgram &Program,
       CheckSize);
 }
 
+/// Most cells of a --verify-native problem, which the check holds four
+/// times (two reference and two native buffers): 1 GiB in float. Three
+/// blocks of every host-menu shape fit, up to bS = 64x512 at hS = 256.
+constexpr double MaxVerifyCells = 1 << 26;
+
 /// The --verify-native problems, sized from the configuration so the
 /// checks cross the seams a production run crosses. Both have 2*hS+3
 /// planes on the streaming axis when hS > 0 (three chunks) and 2*bT+1
@@ -442,6 +447,9 @@ std::string checkProgramSource(const StencilProgram &Program,
 /// last one partial). With blocked axes there is a second with cw - 1
 /// cells per blocked axis (at least 1): one block spans each axis, as on
 /// the rows of a tuned 512-wide 3D block, so the ring rows are clipped.
+/// A problem past MaxVerifyCells has its longest axes clipped until it
+/// fits: a block or chunk too large to cross in such a grid is checked on
+/// a grid it spans.
 std::vector<ProblemSize>
 nativeVerificationProblems(const StencilProgram &Program,
                            const BlockConfig &Config) {
@@ -457,9 +465,23 @@ nativeVerificationProblems(const StencilProgram &Program,
     OneBlock.Extents.push_back(std::max(ComputeWidth - 1, 1LL));
   }
   Seams.TimeSteps = OneBlock.TimeSteps = 2LL * Config.BT + 1;
-  if (Config.BS.empty())
-    return {Seams};
-  return {Seams, OneBlock};
+  std::vector<ProblemSize> Problems = {Seams};
+  if (!Config.BS.empty())
+    Problems.push_back(OneBlock);
+  for (ProblemSize &Problem : Problems) {
+    std::vector<long long> &Extents = Problem.Extents;
+    for (std::size_t Clip = 0; Clip < Extents.size(); ++Clip) {
+      auto Longest = std::max_element(Extents.begin(), Extents.end());
+      double Others = 1;
+      for (auto It = Extents.begin(); It != Extents.end(); ++It)
+        if (It != Longest)
+          Others *= static_cast<double>(*It);
+      if (Others * static_cast<double>(*Longest) <= MaxVerifyCells)
+        break;
+      *Longest = std::max(1LL, static_cast<long long>(MaxVerifyCells / Others));
+    }
+  }
+  return Problems;
 }
 
 /// Runs the compiled native kernel on \p Problem and compares it with the
