@@ -18,15 +18,23 @@
 /// and the tree walk once up front, reporting the ratio as the
 /// "tape_speedup_x" counter. Per-cell tape dispatch read 7-10 there and
 /// batched evaluation reads 65-92 on a 4-vCPU Xeon host; the CI
-/// perf-smoke job fails below 20.
+/// perf-smoke job fails below 20. Its 64x64 grid is under
+/// CompiledTape::ParallelCells, so referenceRun keeps it on one thread and
+/// the counter still compares a serial tape with a serial tree walk.
 ///
 /// The *TuneProblem cases run referenceRun on nativeMeasurementProblem's
-/// grids (j2d5pt 512^2 x 32 steps, star3d1r 64^3 x 8 steps): the bitwise
-/// check the end-to-end benchmark's setup runs after each native tune.
+/// grids (j2d5pt and j2d9pt 512^2 x 32 steps, star3d1r 64^3 x 8 steps):
+/// the bitwise check the end-to-end benchmark's setup runs after each
+/// native tune. These steps are past the threshold, so referenceRun splits
+/// their rows over the OpenMP pool; the "oracle_threads" counter is the
+/// team size the sim.reference span of one traced call reports, and the
+/// CI perf-smoke job fails when j2d5pt's reads below 2 on a multi-core
+/// runner.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "model/ThreadCensus.h"
+#include "obs/Trace.h"
 #include "runtime/NativeMeasurement.h"
 #include "sim/BlockedExecutor.h"
 #include "sim/Grid.h"
@@ -37,6 +45,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <string>
 
 using namespace an5d;
 
@@ -83,6 +92,20 @@ void runTuneProblemBench(benchmark::State &State, const StencilProgram &P) {
   }
   State.SetItemsProcessed(State.iterations() *
                           cellSteps(Problem.Extents, Problem.TimeSteps));
+
+  // One traced call after the timed loop: the team the oracle ran on.
+  obs::TraceRecorder &Recorder = obs::TraceRecorder::global();
+  Recorder.clear();
+  Recorder.enable();
+  referenceRun<float>(P, {&A, &B}, Problem.TimeSteps);
+  Recorder.disable();
+  double Threads = 0;
+  for (const obs::SpanRecord &Span : Recorder.snapshot())
+    for (const obs::SpanAttr &Attr : Span.Attrs)
+      if (Span.Name == "sim.reference" && Attr.Key == "threads")
+        Threads = std::stod(Attr.Value);
+  Recorder.clear();
+  State.counters["oracle_threads"] = Threads;
 }
 
 void runBlockedBench(benchmark::State &State, const StencilProgram &P,
@@ -162,6 +185,13 @@ static void BM_ReferenceJ2d5ptTuneProblem(benchmark::State &State) {
   runTuneProblemBench(State, *P);
 }
 BENCHMARK(BM_ReferenceJ2d5ptTuneProblem)->Unit(benchmark::kMillisecond);
+
+static void BM_ReferenceJ2d9ptTuneProblem(benchmark::State &State) {
+  // The costliest of the end-to-end bench's checks: 9 taps on 512^2 x 32.
+  auto P = makeJacobi2d9pt(ScalarType::Float);
+  runTuneProblemBench(State, *P);
+}
+BENCHMARK(BM_ReferenceJ2d9ptTuneProblem)->Unit(benchmark::kMillisecond);
 
 static void BM_ReferenceStar3d1rTuneProblem(benchmark::State &State) {
   auto P = makeStarStencil(3, 1, ScalarType::Float);

@@ -204,6 +204,11 @@ public:
   /// doubles is 512 bytes).
   static constexpr long long BatchCells = 64;
 
+  /// Interior cells one referenceRun step needs before it splits its rows
+  /// over the OpenMP pool. Smaller steps, where starting a team costs more
+  /// than the rows it would share out, stay on the calling thread.
+  static constexpr long long ParallelCells = 1LL << 16;
+
   /// Evaluates the tape for the \p N consecutive cells starting at
   /// \p Cell: Out[I] receives the result of cell Cell + I, whose tap \c K
   /// reads Cell[I + TapOffsets[K]]. The caller pre-linearizes the offsets

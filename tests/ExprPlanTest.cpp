@@ -9,7 +9,9 @@
 /// over every Table 3 benchmark stencil in both scalar types, across the
 /// batch seams of CompiledTape::evalRange, through both executors, and
 /// under poisoned-halo runs. The blocked emulator runs only the tape, so
-/// it is checked against referenceRun's tree walk.
+/// it is checked against referenceRun's tree walk. referenceRun's tape
+/// splits large steps' rows over the OpenMP pool, so its bits are also
+/// checked to be the same at every thread count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,10 @@
 #include <cstring>
 #include <limits>
 #include <random>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace an5d;
 
@@ -415,6 +421,56 @@ void checkPoisonedEquivalence(const StencilProgram &Program,
   }
 }
 
+/// Interior extents past CompiledTape::ParallelCells. The row counts (263
+/// in 2D, 41 x 43 = 1763 in 3D) are divisible by none of 2, 3 and 4, so
+/// no team size splits them evenly; a 1D grid is one row and must stay on
+/// the calling thread.
+std::vector<long long> parallelExtents(int NumDims) {
+  if (NumDims == 1)
+    return {65537};
+  if (NumDims == 2)
+    return {263, 257};
+  return {41, 43, 39};
+}
+
+/// Runs referenceRun's tape from one input at 1 thread, at 3 threads and
+/// on the default pool, and compares both buffers of every run with the
+/// 1-thread run bit for bit.
+template <typename T>
+void checkThreadCountInvariance(const StencilProgram &Program,
+                                long long TimeSteps) {
+  std::vector<long long> Extents = parallelExtents(Program.numDims());
+  Grid<T> Input(Extents, Program.radius());
+  fillGridDeterministic(Input, 42);
+  long long Cells = 1;
+  for (long long Extent : Extents)
+    Cells *= Extent;
+  ASSERT_GE(Cells, CompiledTape<T>::ParallelCells) << Program.name();
+
+  // Threads = 0 keeps the default pool.
+  auto Run = [&](int Threads) {
+#ifdef _OPENMP
+    const int Pool = omp_get_max_threads();
+    if (Threads > 0)
+      omp_set_num_threads(Threads);
+#endif
+    std::array<Grid<T>, 2> Buffers = {Input, Input};
+    referenceRun<T>(Program, {&Buffers[0], &Buffers[1]}, TimeSteps);
+#ifdef _OPENMP
+    omp_set_num_threads(Pool);
+#endif
+    return Buffers;
+  };
+  std::array<Grid<T>, 2> Serial = Run(1);
+  for (int Threads : {3, 0}) {
+    std::array<Grid<T>, 2> Split = Run(Threads);
+    EXPECT_EQ(countBitMismatches(Serial[0], Split[0]), 0u)
+        << Program.name() << " at " << Threads << " threads";
+    EXPECT_EQ(countBitMismatches(Serial[1], Split[1]), 0u)
+        << Program.name() << " at " << Threads << " threads";
+  }
+}
+
 } // namespace
 
 TEST(ExprPlanSuite, ReferenceTapeMatchesTreeWalkEverywhere) {
@@ -426,6 +482,23 @@ TEST(ExprPlanSuite, ReferenceTapeMatchesTreeWalkEverywhere) {
         checkReferenceEquivalence<float>(*P, 3);
       else
         checkReferenceEquivalence<double>(*P, 3);
+    }
+}
+
+TEST(ExprPlanSuite, ReferenceTapeIsThreadCountInvariant) {
+  // The tree walk is not rerun on these grids (box3d4r has 729 taps):
+  // ReferenceTapeMatchesTreeWalkEverywhere ties the tape to it.
+  std::vector<std::string> Names = benchmarkStencilNames();
+  for (const std::string &Name : extraStencilNames())
+    Names.push_back(Name);
+  for (const std::string &Name : Names)
+    for (ScalarType Type : {ScalarType::Float, ScalarType::Double}) {
+      auto P = makeBenchmarkStencil(Name, Type);
+      ASSERT_TRUE(P) << Name;
+      if (Type == ScalarType::Float)
+        checkThreadCountInvariance<float>(*P, 3);
+      else
+        checkThreadCountInvariance<double>(*P, 3);
     }
 }
 

@@ -20,6 +20,9 @@
 ///    exactly one hit per unique kernel, failure counters mirror
 ///    TuneOutcome, and the traced (chunked) native run stays bit-exact
 ///    with the reference executor;
+///  * the reference executor's `sim.reference` span reports the team that
+///    ran its steps: the OpenMP pool on a large 2D grid, one thread on a
+///    small grid and on a 1D grid;
 ///  * the MeasureFailureKind label/metric-name renderers.
 ///
 /// The trace recorder and metrics registry are process-global: every test
@@ -50,6 +53,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 using namespace an5d;
 
@@ -527,6 +534,58 @@ TEST(TracedRunTest, ChunkedTracedRunMatchesReferenceBitwise) {
   EXPECT_EQ(Aggregates["native.run"].Count, 1u);
   ASSERT_EQ(Aggregates.count("native.block"), 1u);
   EXPECT_EQ(Aggregates["native.block"].Count, 5u); // ceil(9 / bT=2)
+}
+
+//===----------------------------------------------------------------------===//
+// The reference executor's span
+//===----------------------------------------------------------------------===//
+
+/// Runs referenceRun on \p Stencil over \p Extents for \p Steps steps
+/// with tracing on and returns the attributes of its one span.
+std::map<std::string, std::string>
+tracedReferenceAttrs(const char *Stencil, const std::vector<long long> &Extents,
+                     long long Steps) {
+  std::unique_ptr<StencilProgram> Program =
+      makeBenchmarkStencil(Stencil, ScalarType::Float);
+  Grid<float> A(Extents, Program->radius()), B(Extents, Program->radius());
+  fillGridDeterministic(A, 5);
+  copyGrid(A, B);
+  TracingOn Guard;
+  referenceRun<float>(*Program, {&A, &B}, Steps);
+  std::vector<obs::SpanRecord> Spans = obs::TraceRecorder::global().snapshot();
+  if (Spans.size() != 1 || Spans[0].Name != "sim.reference") {
+    ADD_FAILURE() << Stencil << ": expected one sim.reference span, got "
+                  << Spans.size() << " spans";
+    return {};
+  }
+  std::map<std::string, std::string> Attrs;
+  for (const obs::SpanAttr &Attr : Spans[0].Attrs)
+    Attrs[Attr.Key] = Attr.Value;
+  return Attrs;
+}
+
+TEST(TracedReferenceTest, SpanReportsTheTeamThatRanTheSteps) {
+#ifdef _OPENMP
+  const std::string Pool = std::to_string(omp_get_max_threads());
+#else
+  const std::string Pool = "1";
+#endif
+  // 512^2 cells per step are past CompiledTape::ParallelCells.
+  std::map<std::string, std::string> Large =
+      tracedReferenceAttrs("j2d5pt", {512, 512}, 2);
+  EXPECT_EQ(Large["steps"], "2");
+  EXPECT_EQ(Large["cells"], std::to_string(512 * 512 * 2));
+  EXPECT_EQ(Large["threads"], Pool);
+
+  // Under the threshold, and one row: both stay on the calling thread.
+  std::map<std::string, std::string> Small =
+      tracedReferenceAttrs("j2d5pt", {64, 64}, 2);
+  EXPECT_EQ(Small["cells"], std::to_string(64 * 64 * 2));
+  EXPECT_EQ(Small["threads"], "1");
+  std::map<std::string, std::string> OneRow =
+      tracedReferenceAttrs("star1d1r", {65536}, 3);
+  EXPECT_EQ(OneRow["cells"], std::to_string(65536 * 3));
+  EXPECT_EQ(OneRow["threads"], "1");
 }
 
 } // namespace
